@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .bench_suite import benchmark_names, get_benchmark
@@ -420,8 +421,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print("building complex-module library...", file=sys.stderr)
         # Library preparation is untraced: only the main run's search
         # belongs in the trace (config.trace is still False here).
+        start = time.perf_counter()
         library = build_complex_library(design, library, config=config)
+        library_s = time.perf_counter() - start
         built_library = True
+        # stderr, so stdout (and the goldens over it) stays deterministic.
+        print(f"complex-module library: {library.n_complex_modules()} modules "
+              f"in {library_s:.2f} s", file=sys.stderr)
 
     if args.trace:
         config.trace = True
@@ -528,6 +534,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         print()
         print(render_corner_report(report))
     if args.stats:
+        if built_library:
+            result.telemetry.add_time("library", library_s)
         print()
         print(render_stats(result.telemetry, history=result.history))
         if portfolio is not None:

@@ -21,17 +21,16 @@ Finding the overlay that maximizes shared interconnect is a quadratic
 assignment problem, which is NP-hard; like the paper we need the
 procedure to be *fast* because the iterative engine evaluates many
 merge candidates.  We use per-class weighted bipartite matching
-(``scipy.optimize.linear_sum_assignment``) on a neighborhood-similarity
-score, refined by a few rounds in which the score is the *exact* number
-of connections shared given the rest of the current mapping.
+(:func:`linear_sum_assignment`, an in-repo port of SciPy's solver) on a
+neighborhood-similarity score, refined by a few rounds in which the
+score is the *exact* number of connections shared given the rest of the
+current mapping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ..errors import EmbeddingError
 from .components import Component, ComponentKind, Connection, DatapathNetlist
@@ -113,15 +112,107 @@ def _exact_shared(
     return shared
 
 
+def linear_sum_assignment(cost: list[list[float]]) -> tuple[list[int], list[int]]:
+    """Minimum-cost assignment on a rectangular cost matrix.
+
+    A pure-Python port of the shortest augmenting path solver of D. F.
+    Crouse, "On implementing 2D rectangular assignment algorithms"
+    (IEEE Trans. Aerospace and Electronic Systems, 2016), as implemented
+    in SciPy's ``rectangular_lsap``, which backs
+    ``scipy.optimize.linear_sum_assignment`` since SciPy 1.4
+    (BSD-3-Clause, Copyright (c) SciPy Developers).  Every tie is
+    broken exactly as SciPy breaks it, so the returned ``(rows, cols)``
+    are identical to SciPy's.
+    Embedding scores are integers plus 0.01, so ties are the norm and
+    a different tie-break would change which components get shared.
+
+    ``cost`` is a list of equal-length rows of finite floats.  Every row
+    (or, when there are more rows than columns, every column) is
+    assigned; ``rows`` is ascending.
+    """
+    nr = len(cost)
+    nc = len(cost[0]) if nr else 0
+    if nr == 0 or nc == 0:
+        return [], []
+    transpose = nc < nr
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        nr, nc = nc, nr
+
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur_row in range(nr):
+        # Dijkstra-like search for the shortest augmenting path from
+        # cur_row, over reduced costs.
+        shortest = [math.inf] * nc
+        in_sr = [False] * nr
+        in_sc = [False] * nc
+        # Reverse order makes a constant matrix solve to the identity.
+        remaining = list(range(nc - 1, -1, -1))
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            in_sr[i] = True
+            row = cost[i]
+            u_i = u[i]
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie prefer a column that ends the path here.
+                if shortest[j] < lowest or (
+                    shortest[j] == lowest and row4col[j] == -1
+                ):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        # Update the duals of the visited rows and columns.
+        u[cur_row] += min_val
+        for i in range(nr):
+            if in_sr[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(nc):
+            if in_sc[j]:
+                v[j] -= min_val - shortest[j]
+
+        # Augment the previous solution along the path.
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(nr)), col4row
+
+
 def _match_class(
     comps_a: list[str],
     comps_b: list[str],
-    score: "np.ndarray",
+    score: list[list[float]],
 ) -> dict[str, str]:
     """Maximum-weight bipartite matching B→A for one compatibility class."""
-    if not comps_a or not comps_b:
-        return {}
-    rows, cols = linear_sum_assignment(-score)
+    rows, cols = linear_sum_assignment([[-s for s in row] for row in score])
     mapping: dict[str, str] = {}
     for r, c in zip(rows, cols):
         mapping[comps_b[c]] = comps_a[r]
@@ -163,10 +254,10 @@ def embed_netlists(
         comps_a = by_class_a.get(cls, [])
         if not comps_a:
             continue
-        score = np.zeros((len(comps_a), len(comps_b)))
-        for i, ca in enumerate(comps_a):
-            for j, cb in enumerate(comps_b):
-                score[i, j] = len(fingers_a[ca] & fingers_b[cb]) + 0.01
+        score = [
+            [len(fingers_a[ca] & fingers_b[cb]) + 0.01 for cb in comps_b]
+            for ca in comps_a
+        ]
         map_b.update(_match_class(comps_a, comps_b, score))
 
     # Refinement: re-match each class with exact shared-wire counts under
@@ -176,13 +267,13 @@ def embed_netlists(
             comps_a = by_class_a.get(cls, [])
             if not comps_a:
                 continue
-            score = np.zeros((len(comps_a), len(comps_b)))
             trial_map = dict(map_b)
             for cb in comps_b:
                 trial_map.pop(cb, None)
-            for i, ca in enumerate(comps_a):
-                for j, cb in enumerate(comps_b):
-                    score[i, j] = _exact_shared(net_a, net_b, trial_map, cb, ca) + 0.01
+            score = [
+                [_exact_shared(net_a, net_b, trial_map, cb, ca) + 0.01 for cb in comps_b]
+                for ca in comps_a
+            ]
             map_b.update(_match_class(comps_a, comps_b, score))
 
     return _build_merged(net_a, net_b, map_b, name)

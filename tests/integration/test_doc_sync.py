@@ -244,3 +244,23 @@ def test_documented_serve_submit_status_flow_runs(tmp_path):
             server.wait(timeout=30)
         except subprocess.TimeoutExpired:
             server.kill()
+
+
+def test_experiments_headline_claims_quote_the_results_file():
+    """EXPERIMENTS.md's headline-claims table quotes the results file."""
+    text = (ROOT / "benchmarks" / "results" / "headline_claims.txt").read_text()
+    lines = text.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line.startswith("---"))
+    measured = [
+        re.split(r"\s{2,}", line.strip())[-1]
+        for line in lines[rule + 1:]
+        if line.strip()
+    ]
+    assert len(measured) == 4, measured
+
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    section = doc.split("## Section 5 headline claims", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")]
+    # Header row first; the separator row starts with "|-".
+    quoted = [row.strip("|").split("|")[-1].strip() for row in rows[1:]]
+    assert quoted == measured

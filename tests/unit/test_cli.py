@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -14,6 +16,27 @@ dfg main
   input y
   op m mult x y
   op a add m y
+  output out a
+end
+"""
+
+HIER_TEXT = """
+design tinyhier
+top main
+
+dfg mac behavior mac
+  input a
+  input b
+  op m mult a b
+  op s add m b
+  output o s
+end
+
+dfg main
+  input x
+  input y
+  hier h mac 1 x y
+  op a add h y
   output out a
 end
 """
@@ -161,6 +184,26 @@ class TestSynth:
         assert "Synthesis statistics" in out
         assert "evaluations" in out
         assert "cost-cache hit rate" in out
+
+    def test_library_build_reported(self, tmp_path, capsys):
+        path = tmp_path / "tinyhier.dfg"
+        path.write_text(HIER_TEXT)
+        code = main(
+            ["synth", str(path), "--laxity", "2.2", "--stats", "--samples", "16"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        # One behavior × two objectives × two laxity corners.
+        line = re.search(
+            r"^complex-module library: 4 modules in (\d+\.\d\d) s$",
+            captured.err,
+            re.MULTILINE,
+        )
+        assert line, captured.err
+        assert "complex-module library" not in captured.out
+        stats = re.search(r"time: library\s*\|?\s*(\d+\.\d+) s", captured.out)
+        assert stats, captured.out
+        assert float(stats.group(1)) == pytest.approx(float(line.group(1)), abs=0.006)
 
     def test_workers_flag(self, design_file, capsys):
         code = main(

@@ -29,8 +29,6 @@ class TestConvexClusters:
 
     def test_convexity(self):
         """No path may leave a cluster and re-enter it."""
-        import networkx as nx
-
         from repro.dfg.partition import _is_convex, _op_graph
 
         flat = flatten(get_benchmark("iir"))
