@@ -84,7 +84,8 @@ def _write_artifacts(
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line interface of this script."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=200,
                         help="rounds to run (default: 200)")
@@ -102,7 +103,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--replay", type=int, default=None, metavar="SEED",
                         help="replay exactly one round with this round seed "
                              "(as printed in a failure report)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.replay is not None:
         outcome = check_seed(

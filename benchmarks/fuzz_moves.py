@@ -174,7 +174,8 @@ def fuzz_one(
     return checks, failures, reports
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line interface of this script."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--budget", type=float, default=30.0,
                         help="wall-clock budget in seconds (default: 30)")
@@ -187,7 +188,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--replay", type=int, default=None, metavar="SEED",
                         help="replay exactly one round with this round "
                              "seed (as printed in a failure report)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
 
     if args.replay is not None:
         checks, failures, reports = fuzz_one(

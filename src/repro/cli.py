@@ -116,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--score-workers", type=int, default=1,
                        help="threads for candidate scoring inside each "
                             "improvement step (1 = serial; results, telemetry "
-                            "and traces are identical)")
+                            "and traces are identical). Measured slower than "
+                            "serial: 2 threads cost +31%% wall on the "
+                            "hierarchical and +15%% on the flattened Table-3 "
+                            "runs")
     synth.add_argument("--no-incremental", action="store_true",
                        help="price every candidate from scratch instead of "
                             "by delta against the current solution "
@@ -131,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-batch-activity", action="store_true",
                        help="price candidate activities one stream set at a "
                             "time instead of through the batched kernel "
-                            "(results are bit-identical either way)")
-    synth.add_argument("--no-relational", action="store_true",
-                       help="discover candidate moves with the legacy "
-                            "per-pair Python loops instead of the relational "
-                            "engine's batched joins + lazy materialization "
                             "(results are bit-identical either way)")
     synth.add_argument("--saturate", action="store_true",
                        help="before synthesis, saturate each non-top "
@@ -390,7 +388,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     config.validate_incremental = args.validate_incremental
     config.prune = not args.no_prune
     config.batch_activity = not args.no_batch_activity
-    config.relational = not args.no_relational
     config.verify_moves = args.verify
     # Set before the library build so module pre-characterization also
     # warm-starts from (and feeds) the persistent store.

@@ -326,17 +326,18 @@ def library_signature(library) -> str:
     return _digest(payload)
 
 
-#: Config fields excluded from :func:`config_signature`: they change how
-#: the run executes (parallelism, persistence, tracing, debug
-#: cross-checking, cache capacities) but not what any memoized synthesis
-#: result contains, so keying on them would only split shareable cache
+#: Config fields excluded from :func:`config_signature` and from a
+#: trace's ``run_start`` config: they change how the run executes
+#: (parallelism, batching, persistence, tracing, debug cross-checking,
+#: cache capacities) but not what any memoized synthesis result
+#: contains, so keying on them would only split shareable cache
 #: entries.
-_EXECUTION_ONLY_FIELDS = frozenset(
+EXECUTION_ONLY_FIELDS = frozenset(
     {
         "n_workers",
         "score_workers",
         "validate_incremental",
-        "relational",
+        "batch_activity",
         "trace",
         "trace_timings",
         "trace_evals",
@@ -363,7 +364,7 @@ def config_signature(config) -> str:
 
     Execution-only knobs (worker counts, tracing, the cache
     configuration itself) are excluded — see
-    :data:`_EXECUTION_ONLY_FIELDS`; everything that can change a
+    :data:`EXECUTION_ONLY_FIELDS`; everything that can change a
     synthesized sub-result (pass/move limits, epsilon, feature toggles,
     cache capacities that influence generated-name sequences) is
     included.
@@ -371,6 +372,6 @@ def config_signature(config) -> str:
     fields = tuple(
         (f.name, getattr(config, f.name))
         for f in dataclasses.fields(config)
-        if f.name not in _EXECUTION_ONLY_FIELDS
+        if f.name not in EXECUTION_ONLY_FIELDS
     )
     return _digest(("config", fields))

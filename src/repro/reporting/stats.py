@@ -93,12 +93,6 @@ def render_stats(
             f"{kind}: {n}" for kind, n in sorted(telemetry.moves_discovered.items())
         )
         rows.append(("moves discovered", discovered))
-    if telemetry.moves_materialized:
-        materialized = " / ".join(
-            f"{kind}: {n}"
-            for kind, n in sorted(telemetry.moves_materialized.items())
-        )
-        rows.append(("moves materialized", materialized))
     if telemetry.moves_pruned:
         pruned = " / ".join(
             f"{family}: {n}" for family, n in sorted(telemetry.moves_pruned.items())

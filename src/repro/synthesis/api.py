@@ -23,6 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..dfg.canonical import EXECUTION_ONLY_FIELDS
 from ..dfg.flatten import flatten
 from ..dfg.hierarchy import Design
 from ..dfg.validate import validate_design
@@ -540,36 +541,25 @@ def _synthesize_in_env(
 def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     """Search-shaping knobs recorded in a trace's ``run_start`` event.
 
-    Execution-only fields are excluded: ``n_workers``,
-    ``score_workers``, ``validate_incremental``, ``batch_activity``,
-    ``relational``,
-    the ``trace_*`` family and the store knobs (``cache_dir``,
-    ``persistent_cache``, ``run_cache_size``) do not change what the
-    search does (or what its
-    trace records), and keeping them out is what lets a 1-worker and a
-    4-worker run — or a cold and a warm-cache run — produce
+    The execution-only fields of
+    :data:`~repro.dfg.canonical.EXECUTION_ONLY_FIELDS` (worker counts,
+    ``batch_activity``, ``validate_incremental``, the ``trace_*`` family
+    and the store knobs) do not change what the search does (or what
+    its trace records), and keeping them out is what lets a 1-worker
+    and a 4-worker run — or a cold and a warm-cache run — produce
     byte-identical traces.  ``incremental`` and
     ``prune`` *are* recorded: both leave the search outcome intact, but
     they shape per-step eval/pruned counts in the trace, so a replay
     must run them the same way.  ``trace_meta`` rides separately as the
-    provenance field.
+    provenance field.  Policy selection rides as run_start's optional
+    ``policy`` field instead (absent for the default policy), keeping
+    default-policy traces byte-identical to pre-policy ones; replay
+    re-executes recorded committed moves, which is policy-independent.
     """
-    skip = {"n_workers", "score_workers", "validate_incremental",
-            "batch_activity", "relational",
-            "trace", "trace_timings", "trace_evals",
-            "trace_max_events", "trace_meta",
-            "cache_dir", "persistent_cache", "run_cache_size",
-            "store_shards",
-            # Policy selection rides as run_start's optional ``policy``
-            # field instead (absent for the default policy), keeping
-            # default-policy traces byte-identical to pre-policy ones;
-            # replay re-executes recorded committed moves, which is
-            # policy-independent.
-            "search_policy", "policy_params"}
     return {
         f.name: getattr(config, f.name)
         for f in dataclasses.fields(config)
-        if f.name not in skip
+        if f.name not in EXECUTION_ONLY_FIELDS
     }
 
 

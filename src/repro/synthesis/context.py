@@ -100,13 +100,6 @@ class SynthesisConfig:
     #: before pricing (counted per family in telemetry as
     #: ``moves_pruned``).  Outcome-preserving by construction.
     prune: bool = True
-    #: Discover each KL round's candidate set through the relational
-    #: engine (:mod:`repro.synthesis.relational`): batched SQL joins
-    #: emitting lazy candidate descriptors, with ``Solution.clone()``
-    #: deferred past pruning.  Execution knob only — the candidate
-    #: multiset, final solutions, goldens and traces are bit-identical
-    #: to the legacy per-pair loops (``--no-relational``).
-    relational: bool = True
     #: Threads for candidate scoring inside one improvement step.
     #: 1 = serial; >1 prices uncached candidates speculatively on a
     #: thread pool while all accounting stays serial, so results,

@@ -48,7 +48,6 @@ from .moves import (
     splitting_candidates,
     type_a_b_candidates,
 )
-from .relational import RelationalView
 from .solution import Solution
 
 __all__ = ["ScoredMove", "improve_solution", "resynthesize_module", "PassRecord"]
@@ -77,19 +76,12 @@ def _tally_discovered(
     """Count freshly generated candidates (pre-pruning), by kind.
 
     Feeds both the run telemetry and the per-step ``discovered`` trace
-    field.  Eager candidates (legacy loops and the shared module/chain
-    helpers) count as materialized right here; lazy (relational)
-    candidates report materialization through their build callback, so
-    the discovered/materialized gap measures the clones laziness
-    avoided.  The counts themselves are engine-independent: both
-    discovery paths emit identical candidate multisets.
+    field.
     """
     for cand in candidates:
         kind = cand.kind
         discovered[kind] = discovered.get(kind, 0) + 1
         tel.count_move_discovered(kind)
-        if cand.is_materialized:
-            tel.count_move_materialized(kind)
 
 
 def _best(
@@ -165,14 +157,13 @@ def _discover_family(
     work: Solution,
     sim: SimTrace,
     locked: frozenset[str],
-    view: RelationalView | None,
     discovered: dict[str, int],
     pass_idx: int,
     step_idx: int,
 ) -> list[Candidate]:
     """Generate, tally, prune and rank one family's candidates."""
     t_disc = time.perf_counter()
-    cands = _DISCOVER[family](env, work, sim, locked, view=view)
+    cands = _DISCOVER[family](env, work, sim, locked)
     ctx.telemetry.add_time("discovery", time.perf_counter() - t_disc)
     _tally_discovered(ctx.telemetry, cands, discovered)
     if env.config.prune:
@@ -242,14 +233,11 @@ def improve_solution(
             base = ctx.breakdown_of(work) if config.incremental else None
             workers = config.score_workers
             discovered: dict[str, int] = {}
-            view = (
-                RelationalView(env, work, locked) if config.relational else None
-            )
             groups: dict[str, list[Candidate]] = {}
             scored: dict[str, ScoredMove | None] = {}
             for family in plan:
                 groups[family] = _discover_family(
-                    env, ctx, policy, family, work, sim, locked, view,
+                    env, ctx, policy, family, work, sim, locked,
                     discovered, _pass, _step,
                 )
             for family in plan:
@@ -261,7 +249,7 @@ def improve_solution(
                 scored.get("share"), work_cost
             ):
                 groups["split"] = _discover_family(
-                    env, ctx, policy, "split", work, sim, locked, view,
+                    env, ctx, policy, "split", work, sim, locked,
                     discovered, _pass, _step,
                 )
                 m4 = _best(ctx, groups["split"], base=base, workers=workers)
@@ -382,9 +370,7 @@ def _emit_step(
         d_power=after.power - before.power,
         d_area=after.area - before.area,
         d_cycles=after.schedule_length - before.schedule_length,
-        # Pre-pruning generation counts by full kind: identical between
-        # the relational and legacy discovery engines (equal candidate
-        # multisets), so the field is safe for trace byte-identity.
+        # Pre-pruning generation counts by full kind.
         discovered=dict(sorted(discovered.items())),
         tried=dict(sorted(tried.items())),
         eval=evals,

@@ -18,27 +18,19 @@
 Every generator returns *candidates* that the iterative-improvement
 driver prices with the cost function (by delta against the current
 solution for local moves; see :mod:`repro.synthesis.incremental`).
-A :class:`Candidate` either carries an eagerly mutated clone or — when
-discovered by the relational engine
-(:mod:`repro.synthesis.relational`) — a lazy *descriptor*: an edit
-recipe plus a precomputed structural fingerprint, with the
-``Solution.clone()`` deferred until the candidate is actually priced.
+Each :class:`Candidate` carries an eagerly mutated clone.
 Generators respect the KL *locked* set so a pass cannot ping-pong on
 the same resources.  :func:`prune_candidates` discards provably
 dominated or structurally hopeless candidates before any of them are
-priced (and, for lazy candidates, before any of them are cloned).
+priced.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..dfg.graph import NodeKind, Signal
 from ..dfg.ops import Operation
-from ..errors import SynthesisError
 from ..library.cells import LibraryCell
 from ..power.simulate import SimTrace
-from .caching import HashedKey
 from .context import SynthesisEnv, ensure_behavior
 from .modulegen import merge_modules
 from .solution import Solution
@@ -55,52 +47,26 @@ __all__ = [
 
 
 class Candidate:
-    """One tentative move: a mutated clone (or a recipe for one) plus
-    bookkeeping.
-
-    Two construction modes:
-
-    * **eager** — ``solution=`` carries the already-mutated clone (the
-      legacy generators' idiom);
-    * **lazy** — ``build=`` is a zero-argument callable producing the
-      clone on first access to :attr:`solution`, and ``fingerprint=``
-      is the precomputed :class:`~repro.synthesis.caching.HashedKey`
-      of the solution that *would* be built.  The relational discovery
-      engine emits these so :func:`prune_candidates` can discard
-      duplicates, dominated swaps and hopeless structures without a
-      single ``Solution.clone()``.
-
-    The precomputed fingerprint must equal the built solution's
-    ``fingerprint_key()`` exactly — pruning and cost-cache decisions
-    key on it, and the bit-identity of the relational and legacy paths
-    rests on that equality (asserted by the test suite).
-    """
+    """One tentative move: the mutated clone plus bookkeeping."""
 
     __slots__ = (
-        "kind", "description", "touched", "footprint", "replacement_cell",
-        "_solution", "_build", "_fingerprint", "_on_materialize",
+        "kind", "description", "solution", "touched", "footprint",
+        "replacement_cell",
     )
 
     def __init__(
         self,
         kind: str,
         description: str,
-        solution: Solution | None = None,
+        solution: Solution,
         touched: frozenset[str] = frozenset(),
         footprint: frozenset[str] | None = None,
         *,
-        build: Callable[[], Solution] | None = None,
-        fingerprint: HashedKey | None = None,
         replacement_cell: LibraryCell | None = None,
-        on_materialize: Callable[[str], None] | None = None,
     ):
-        if (solution is None) == (build is None):
-            raise SynthesisError(
-                "candidate needs exactly one of solution= (eager) or "
-                "build= (lazy)"
-            )
         self.kind = kind
         self.description = description
+        self.solution = solution
         self.touched = touched
         #: Touched-resource footprint of a *local* move — one whose
         #: effects on the cost are confined to the named instances/
@@ -115,39 +81,12 @@ class Candidate:
         #: gate that decides when delta pricing is attempted.
         self.footprint = footprint
         #: For ``A-cell`` swaps: the cell the instance would switch to.
-        #: Lets pruning rule 2 compare timing/area/cap without
-        #: materializing the clone.
+        #: Lets pruning rule 2 compare timing/area/cap without looking
+        #: the instance up in the clone.
         self.replacement_cell = replacement_cell
-        self._solution = solution
-        self._build = build
-        self._fingerprint = fingerprint
-        self._on_materialize = on_materialize
-
-    @property
-    def solution(self) -> Solution:
-        """The mutated solution (built on first access for lazy candidates)."""
-        if self._solution is None:
-            assert self._build is not None
-            self._solution = self._build()
-            self._build = None
-            if self._on_materialize is not None:
-                self._on_materialize(self.kind)
-        return self._solution
-
-    @property
-    def is_materialized(self) -> bool:
-        """True once the mutated solution exists (always, when eager)."""
-        return self._solution is not None
-
-    def fingerprint_key(self) -> HashedKey:
-        """Structural fingerprint — precomputed for lazy candidates."""
-        if self._fingerprint is not None:
-            return self._fingerprint
-        return self.solution.fingerprint_key()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "built" if self.is_materialized else "lazy"
-        return f"Candidate({self.kind!r}, {self.description!r}, {state})"
+        return f"Candidate({self.kind!r}, {self.description!r})"
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +120,8 @@ def register_lifetimes(
 ) -> dict[str, list[tuple[int, int]]]:
     """Interval index: register id → sorted half-open signal lifetimes.
 
-    The shared basis of register-sharing discovery on both engines: the
-    legacy loop checks pairwise disjointness over these intervals, and
-    the relational engine loads the same rows into its ``life`` table
-    for the interval-overlap anti-join.  Intervals are half-open
+    The basis of register-sharing discovery, which checks pairwise
+    disjointness over these intervals.  Intervals are half-open
     ``[birth, death)`` cycles — two overlap iff
     ``b1 < d2 and b2 < d1``.
     """
@@ -209,8 +146,8 @@ def _max_chain(solution: Solution, inst_id: str) -> int:
     return max((len(g) for g in execs), default=1)
 
 
-def _cell_fits(cell: LibraryCell, ops: set[Operation], chain: int) -> bool:
-    return all(cell.supports(op) for op in ops) and cell.chain_length >= chain
+def _cell_fits(cell: LibraryCell, ops: frozenset[Operation], chain: int) -> bool:
+    return cell.chain_length >= chain and ops <= cell.ops
 
 
 def _instance_weight(env: SynthesisEnv, solution: Solution, inst_id: str) -> float:
@@ -314,12 +251,6 @@ def prune_candidates(
 
     Pruned candidates are counted per family in telemetry
     (``moves_pruned``); the surviving list preserves generation order.
-
-    All three rules work on :meth:`Candidate.fingerprint_key` and
-    :attr:`Candidate.replacement_cell`, so lazy (relational-engine)
-    candidates are pruned without ever cloning a solution — the clones
-    the legacy eager path wasted on pruned candidates simply never
-    happen.
     """
     if len(candidates) < 2:
         return candidates
@@ -340,7 +271,7 @@ def prune_candidates(
     # Rule 1: duplicate fingerprints.
     best_by_fp: dict = {}
     for idx, cand in enumerate(candidates):
-        fp = cand.fingerprint_key()
+        fp = cand.solution.fingerprint_key()
         prior = best_by_fp.get(fp)
         if prior is None:
             best_by_fp[fp] = idx
@@ -361,9 +292,6 @@ def prune_candidates(
         cells = []
         for i in indices:
             cell = candidates[i].replacement_cell
-            if cell is None:
-                (inst_id,) = candidates[i].touched
-                cell = candidates[i].solution.instances[inst_id].cell
             assert cell is not None
             cells.append(
                 (
@@ -391,17 +319,10 @@ def prune_candidates(
 
     # Rule 3: schedule length provably hopeless.  Every move preserves
     # the operating point, so the base solution's deadline applies to
-    # all candidates; the memo is probed by the candidate's (possibly
-    # precomputed) fingerprint first, so repeat structures never
-    # materialize a lazy candidate just to re-derive a known bound.
+    # all candidates.
     deadline = 2 * solution.deadline_cycles
     for idx, cand in enumerate(candidates):
-        if idx in drop:
-            continue
-        bound = _MIN_LEN_MEMO.get(cand.fingerprint_key())
-        if bound is None:
-            bound = _min_schedule_length(cand.solution)
-        if bound > deadline:
+        if idx not in drop and _min_schedule_length(cand.solution) > deadline:
             drop.add(idx)
 
     if not drop:
@@ -430,17 +351,8 @@ def type_a_b_candidates(
     solution: Solution,
     sim: SimTrace,
     locked: frozenset[str],
-    view=None,
 ) -> list[Candidate]:
-    """Module-selection moves (Figure 5): replacement and resynthesis.
-
-    *view* — a :class:`~repro.synthesis.relational.RelationalView` of
-    *solution* — routes the ``A-cell`` family through one batched
-    capability join instead of a per-instance library rescan; module
-    replacement/re-embedding and move B stay on the shared Python
-    helpers in both modes (their candidate counts are bounded by the
-    library, not by the solution size).
-    """
+    """Module-selection moves (Figure 5): replacement and resynthesis."""
     config = env.config
 
     # Module group formation: target the heaviest unlocked instances.
@@ -453,7 +365,6 @@ def type_a_b_candidates(
     targets = targets[: config.max_ab_targets]
 
     candidates: list[Candidate] = []
-    simple_targets: list[str] = []
     resynth_budget = 2 if config.enable_resynthesis else 0
     for inst_id in targets:
         inst = solution.instances[inst_id]
@@ -467,12 +378,8 @@ def type_a_b_candidates(
                 if resynth is not None:
                     candidates.append(resynth)
                     resynth_budget -= 1
-        elif view is not None:
-            simple_targets.append(inst_id)
         else:
             candidates.extend(_cell_replacements(env, solution, inst_id))
-    if view is not None and simple_targets:
-        candidates.extend(view.cell_replacements(simple_targets))
     return candidates
 
 
@@ -481,7 +388,7 @@ def _cell_replacements(
 ) -> list[Candidate]:
     inst = solution.instances[inst_id]
     assert inst.cell is not None
-    ops = _ops_of_instance(solution, inst_id)
+    ops = frozenset(_ops_of_instance(solution, inst_id))
     chain = _max_chain(solution, inst_id)
     out: list[Candidate] = []
     for cell in env.library.cells():
@@ -661,7 +568,6 @@ def sharing_candidates(
     solution: Solution,
     sim: SimTrace,
     locked: frozenset[str],
-    view=None,
 ) -> list[Candidate]:
     """Merging moves: FU pairs, register pairs, module pairs, chains.
 
@@ -674,21 +580,10 @@ def sharing_candidates(
     out of the round entirely.  Per-family discovery counts land in
     ``telemetry.moves_discovered`` (kind-keyed), making the
     apportionment observable.
-
-    With *view* set (a :class:`~repro.synthesis.relational.
-    RelationalView` of *solution*), the FU and register families come
-    from batched SQL joins emitting lazy candidates; module sharing and
-    chain formation are library-/DFG-bounded and stay on the shared
-    Python helpers in both modes.
     """
     config = env.config
-    out: list[Candidate] = []
-    if view is not None:
-        out.extend(view.fu_sharing())
-        out.extend(view.register_sharing())
-    else:
-        out.extend(_fu_sharing(env, solution, locked))
-        out.extend(_register_sharing(env, solution, locked))
+    out = _fu_sharing(env, solution, locked)
+    out.extend(_register_sharing(env, solution, locked))
     out.extend(
         _module_sharing(env, solution, locked)[: max(1, config.max_share_pairs // 2)]
     )
@@ -710,25 +605,38 @@ def _fu_sharing(
     env: SynthesisEnv, solution: Solution, locked: frozenset[str]
 ) -> list[Candidate]:
     simple = _unlocked_simple(solution, locked)
+    # The pair scan is quadratic and runs every KL step, so each
+    # instance's requirements are resolved once, and the cheapest
+    # library cell once per distinct (ops, chain) requirement.
+    needs = {
+        i: (frozenset(_ops_of_instance(solution, i)), _max_chain(solution, i))
+        for i in simple
+    }
+    cheapest: dict[tuple[frozenset[Operation], int], LibraryCell | None] = {}
     pairs: list[tuple[float, str, str, LibraryCell]] = []
     for i, a in enumerate(simple):
+        ops_a, chain_a = needs[a]
+        cell_a = solution.instances[a].cell
+        assert cell_a is not None
         for b in simple[i + 1 :]:
-            ops = _ops_of_instance(solution, a) | _ops_of_instance(solution, b)
-            chain = max(_max_chain(solution, a), _max_chain(solution, b))
-            cell_a = solution.instances[a].cell
+            ops_b, chain_b = needs[b]
+            ops = ops_a | ops_b
+            chain = max(chain_a, chain_b)
             cell_b = solution.instances[b].cell
-            assert cell_a is not None and cell_b is not None
-            target: LibraryCell | None = None
+            assert cell_b is not None
+            target: LibraryCell | None
             if _cell_fits(cell_a, ops, chain):
                 target = cell_a
             elif _cell_fits(cell_b, ops, chain):
                 target = cell_b
+            elif (ops, chain) in cheapest:
+                target = cheapest[ops, chain]
             else:
                 fits = [
                     c for c in env.library.cells() if _cell_fits(c, ops, chain)
                 ]
-                if fits:
-                    target = min(fits, key=lambda c: c.area)
+                target = min(fits, key=lambda c: c.area) if fits else None
+                cheapest[ops, chain] = target
             if target is None:
                 continue
             saved = min(cell_a.area, cell_b.area)
@@ -952,61 +860,51 @@ def splitting_candidates(
     solution: Solution,
     sim: SimTrace,
     locked: frozenset[str],
-    view=None,
 ) -> list[Candidate]:
-    """Splitting moves: un-share instances, registers and chains.
-
-    With *view* set, the FU-split and register-split families come from
-    the relational engine as lazy candidates (one ordered scan each);
-    chain dissolution stays on the shared Python helper below.
-    """
+    """Splitting moves: un-share instances, registers and chains."""
     out: list[Candidate] = []
 
-    if view is not None:
-        out.extend(view.fu_splits())
-        out.extend(view.register_splits())
-    else:
-        shared = [
-            inst_id
-            for inst_id in solution.instances
-            if inst_id not in locked and len(solution.executions[inst_id]) >= 2
-        ]
-        shared.sort(key=lambda i: -len(solution.executions[i]))
-        for inst_id in shared[: env.config.max_split_candidates]:
-            execs = solution.executions[inst_id]
-            half = max(1, len(execs) // 2)
-            moved = execs[half:]
-            clone = solution.clone()
-            twin = clone.split_instance(inst_id, list(moved))
-            out.append(
-                Candidate(
-                    kind="D-split-fu",
-                    description=f"split {inst_id} ({len(execs)} execs) -> {twin}",
-                    solution=clone,
-                    touched=frozenset({inst_id, twin}),
-                    footprint=frozenset({inst_id, twin}),
-                )
+    shared = [
+        inst_id
+        for inst_id in solution.instances
+        if inst_id not in locked and len(solution.executions[inst_id]) >= 2
+    ]
+    shared.sort(key=lambda i: -len(solution.executions[i]))
+    for inst_id in shared[: env.config.max_split_candidates]:
+        execs = solution.executions[inst_id]
+        half = max(1, len(execs) // 2)
+        moved = execs[half:]
+        clone = solution.clone()
+        twin = clone.split_instance(inst_id, list(moved))
+        out.append(
+            Candidate(
+                kind="D-split-fu",
+                description=f"split {inst_id} ({len(execs)} execs) -> {twin}",
+                solution=clone,
+                touched=frozenset({inst_id, twin}),
+                footprint=frozenset({inst_id, twin}),
             )
+        )
 
-        shared_regs = [
-            reg_id
-            for reg_id, signals in solution.reg_signals.items()
-            if reg_id not in locked and len(signals) >= 2
-        ]
-        for reg_id in shared_regs[: env.config.max_split_candidates // 2]:
-            signals = solution.reg_signals[reg_id]
-            moved = signals[len(signals) // 2 :]
-            clone = solution.clone(carry_timing=True)
-            twin = clone.split_register(reg_id, list(moved))
-            out.append(
-                Candidate(
-                    kind="D-split-reg",
-                    description=f"split register {reg_id} -> {twin}",
-                    solution=clone,
-                    touched=frozenset({reg_id, twin}),
-                    footprint=frozenset({reg_id, twin}),
-                )
+    shared_regs = [
+        reg_id
+        for reg_id, signals in solution.reg_signals.items()
+        if reg_id not in locked and len(signals) >= 2
+    ]
+    for reg_id in shared_regs[: env.config.max_split_candidates // 2]:
+        signals = solution.reg_signals[reg_id]
+        moved = signals[len(signals) // 2 :]
+        clone = solution.clone(carry_timing=True)
+        twin = clone.split_register(reg_id, list(moved))
+        out.append(
+            Candidate(
+                kind="D-split-reg",
+                description=f"split register {reg_id} -> {twin}",
+                solution=clone,
+                touched=frozenset({reg_id, twin}),
+                footprint=frozenset({reg_id, twin}),
             )
+        )
 
     # Chain dissolution: break a chained execution into singletons.
     for inst_id, inst in solution.instances.items():

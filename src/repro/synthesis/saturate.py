@@ -6,10 +6,9 @@ the designer supplies those alternatives; this module grows the supply
 automatically.  Each flat behavior of a :class:`~repro.dfg.hierarchy.
 Design` is lowered into a hash-consed expression table inside an
 in-memory SQLite database, a small set of *bit-true* rewrite rules is
-applied as set-at-a-time ``INSERT OR IGNORE ... SELECT`` batch steps
-(the relational idiom :mod:`repro.synthesis.relational` uses for
-candidate discovery), and the resulting equivalence classes are read
-back out as new DFG variants.  Registering a variant via
+applied as set-at-a-time ``INSERT OR IGNORE ... SELECT`` batch steps,
+and the resulting equivalence classes are read back out as new DFG
+variants.  Registering a variant via
 :meth:`Design.add_dfg` is all it takes to feed move A: the complex
 library builder characterizes every variant of a behavior, and the
 improvement loop then prices them against each other.

@@ -91,10 +91,6 @@ class Solution:
         self._reg_of: dict[Signal, str] | None = None
         self._fingerprint: tuple | None = None
         self._fingerprint_key: HashedKey | None = None
-        #: Mutation epoch: bumped by :meth:`invalidate` on every
-        #: structural edit, so derived caches can tell at a glance
-        #: whether a solution changed since they last saw it.
-        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Identity helpers
@@ -104,22 +100,6 @@ class Solution:
         while True:
             self._counter += 1
             candidate = f"{prefix}{self._counter}"
-            if candidate not in self.instances and candidate not in self.reg_signals:
-                return candidate
-
-    def peek_fresh_id(self, prefix: str) -> str:
-        """The id :meth:`fresh_id` *would* mint, without mutating state.
-
-        A clone of this solution starts from the same ``_counter``, so
-        the first ``fresh_id(prefix)`` called on the clone returns
-        exactly this value — which lets the relational engine
-        precompute the fingerprint of a split candidate (the twin's id
-        appears in it) before deciding whether to build the clone.
-        """
-        counter = self._counter
-        while True:
-            counter += 1
-            candidate = f"{prefix}{counter}"
             if candidate not in self.instances and candidate not in self.reg_signals:
                 return candidate
 
@@ -240,7 +220,6 @@ class Solution:
         self._reg_of = None
         self._fingerprint = None
         self._fingerprint_key = None
-        self._epoch += 1
 
     def invalidate(self) -> None:
         """Drop cached schedule/tasks/fingerprint after any mutation."""
@@ -251,12 +230,6 @@ class Solution:
         self._reg_of = None
         self._fingerprint = None
         self._fingerprint_key = None
-        self._epoch += 1
-
-    @property
-    def epoch(self) -> int:
-        """Mutation counter (see :meth:`invalidate`)."""
-        return self._epoch
 
     def fingerprint(self) -> tuple:
         """Structural identity of this solution (cost-cache key).
@@ -305,9 +278,9 @@ class Solution:
         """The fingerprint wrapped with its hash precomputed.
 
         Cache layers key thousands of lookups by the same fingerprint
-        within one mutation epoch; wrapping it in a
+        between two mutations; wrapping it in a
         :class:`~repro.synthesis.caching.HashedKey` means the nested
-        tuple is hashed once per epoch instead of once per lookup.
+        tuple is hashed once per mutation instead of once per lookup.
         """
         if self._fingerprint_key is None:
             self._fingerprint_key = HashedKey(self.fingerprint())

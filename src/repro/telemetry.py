@@ -53,17 +53,10 @@ class Telemetry:
     #: (``"A-cell"``, ``"C-share-fu"``, ...) rather than collapsed
     #: family: the per-family cap apportionment in
     #: :func:`~repro.synthesis.moves.sharing_candidates` is only
-    #: observable at kind granularity.  Counted before pruning, and
-    #: identical whichever discovery engine (relational or legacy
-    #: loops) produced the set.
+    #: observable at kind granularity.  Counted before pruning.  Every
+    #: discovered candidate carries its cloned solution, so this is
+    #: also the number of clones built.
     moves_discovered: dict[str, int] = field(default_factory=dict)
-    #: Discovered candidates whose :class:`~repro.synthesis.moves.
-    #: Candidate` actually materialized a mutated ``Solution`` clone,
-    #: keyed by kind.  The legacy loops materialize eagerly (equal to
-    #: ``moves_discovered``); the relational engine defers cloning
-    #: until pricing, so the gap between the two counters is the
-    #: number of clones lazy materialization avoided.
-    moves_materialized: dict[str, int] = field(default_factory=dict)
     #: Operating points explored / skipped as structurally hopeless.
     points_explored: int = 0
     points_skipped: int = 0
@@ -105,10 +98,6 @@ class Telemetry:
         """Record ``n`` candidates of ``kind`` discovered (pre-pruning)."""
         self.moves_discovered[kind] = self.moves_discovered.get(kind, 0) + n
 
-    def count_move_materialized(self, kind: str, n: int = 1) -> None:
-        """Record ``n`` candidate solutions actually cloned/built."""
-        self.moves_materialized[kind] = self.moves_materialized.get(kind, 0) + n
-
     def add_time(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock seconds against a named stage."""
         self.stage_s[stage] = self.stage_s.get(stage, 0.0) + seconds
@@ -146,10 +135,6 @@ class Telemetry:
             self.moves_pruned[family] = self.moves_pruned.get(family, 0) + n
         for kind, n in other.moves_discovered.items():
             self.moves_discovered[kind] = self.moves_discovered.get(kind, 0) + n
-        for kind, n in other.moves_materialized.items():
-            self.moves_materialized[kind] = (
-                self.moves_materialized.get(kind, 0) + n
-            )
         self.verify_checks += other.verify_checks
         self.verify_failures += other.verify_failures
         for stage, s in other.stage_s.items():
@@ -164,7 +149,13 @@ class Telemetry:
         return self
 
     def as_dict(self) -> dict[str, Any]:
-        """Plain-data view (JSON export and the CLI ``--stats`` output)."""
+        """Plain-data view (JSON export and the CLI ``--stats`` output).
+
+        ``moves_materialized`` (clones built per kind) is kept for
+        readers of the export; candidates are always built eagerly, so
+        it equals ``moves_discovered``.
+        """
+        discovered = dict(sorted(self.moves_discovered.items()))
         return {
             "evaluations": self.evaluations,
             "cache_hits": self.cache_hits,
@@ -179,8 +170,8 @@ class Telemetry:
             "moves_tried": dict(sorted(self.moves_tried.items())),
             "moves_committed": dict(sorted(self.moves_committed.items())),
             "moves_pruned": dict(sorted(self.moves_pruned.items())),
-            "moves_discovered": dict(sorted(self.moves_discovered.items())),
-            "moves_materialized": dict(sorted(self.moves_materialized.items())),
+            "moves_discovered": discovered,
+            "moves_materialized": dict(discovered),
             "verify": {
                 "checks": self.verify_checks,
                 "failures": self.verify_failures,

@@ -1,12 +1,15 @@
 """Documentation/code synchronization checks.
 
-Docs rot in three ways this module guards against:
+Docs rot in four ways this module guards against:
 
 1. a CLI invocation shown in README/docs stops parsing (flag renamed or
    removed) — every ``python -m repro``/``repro-trace`` command found in
    a fenced code block is run through the real argument parsers;
-2. the README's examples table and ``examples/`` drift apart;
-3. a relative markdown link breaks — the same check
+2. prose names a flag that no parser has any more — every inline
+   ``--flag`` code span must be an option of ``repro``,
+   ``repro-trace`` or a fuzz script;
+3. the README's examples table and ``examples/`` drift apart;
+4. a relative markdown link breaks — the same check
    ``tools/check_markdown_links.py`` runs in CI.
 
 The slow tier additionally *executes* every example script end to end.
@@ -81,6 +84,47 @@ def test_documented_cli_invocations_parse(doc, command):
             f"{doc} documents an invocation the CLI rejects "
             f"(exit {exc.code}): {command}"
         )
+
+
+def _option_strings(parser) -> set[str]:
+    """Every option string of *parser* and of all its subparsers."""
+    import argparse
+
+    options: set[str] = set()
+    for action in parser._actions:
+        options.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+    return options
+
+
+def test_inline_flags_name_real_options():
+    """Every inline ``--flag`` code span in the prose docs is a live option."""
+    from repro.cli import build_parser as repro_parser
+    from repro.trace.cli import build_parser as trace_parser
+
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from fuzz_designs import build_parser as fuzz_designs_parser
+    from fuzz_moves import build_parser as fuzz_moves_parser
+
+    known: set[str] = set()
+    for build in (repro_parser, trace_parser, fuzz_designs_parser,
+                  fuzz_moves_parser):
+        known |= _option_strings(build())
+
+    docs = [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md",
+            *sorted((ROOT / "docs").glob("*.md"))]
+    unknown = []
+    for doc in docs:
+        prose = re.sub(r"```.*?```", "", doc.read_text(), flags=re.DOTALL)
+        for span in re.findall(r"`(--[^`\n]*)`", prose):
+            flag = span.split()[0].split("=")[0]
+            if flag not in known:
+                unknown.append(f"{doc.name}: `{span}`")
+    assert not unknown, (
+        "docs name options no parser accepts:\n  " + "\n  ".join(unknown)
+    )
 
 
 def test_readme_examples_table_matches_examples_dir():

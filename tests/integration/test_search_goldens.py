@@ -7,8 +7,7 @@ default policy is absolute: the refactored driver must reproduce the
 pre-refactor engine **byte for byte** — same moves, same telemetry-fed
 eval counters, same trace JSONL.  These goldens were generated from the
 engine as it stood before the seam existed (timings disabled, so the
-traces are deterministic), and every case runs on both discovery
-engines (``relational`` on and off).
+traces are deterministic).
 
 When a change *intentionally* moves the search (a new move family, a
 cost-model fix), regenerate with::
@@ -53,7 +52,7 @@ GEN_CONFIG = dataclasses.replace(
 GEN_LAXITY = 2.0
 
 
-def _trace_config(relational: bool) -> SynthesisConfig:
+def _trace_config() -> SynthesisConfig:
     return SynthesisConfig(
         max_moves=6,
         max_passes=2,
@@ -63,13 +62,12 @@ def _trace_config(relational: bool) -> SynthesisConfig:
         n_clocks=2,
         resynth_passes=1,
         resynth_moves=4,
-        relational=relational,
         trace=True,
         trace_timings=False,
     )
 
 
-def _run_benchmark(name: str, relational: bool) -> str:
+def _run_benchmark(name: str) -> str:
     design = get_benchmark(name)
     traces = speech_traces(design.top, n=TRACE_SAMPLES, seed=TRACE_SEED)
     result = synthesize(
@@ -77,48 +75,37 @@ def _run_benchmark(name: str, relational: bool) -> str:
         laxity_factor=LAXITY,
         objective="power",
         traces=traces,
-        config=_trace_config(relational),
+        config=_trace_config(),
         n_samples=TRACE_SAMPLES,
     )
     return dumps_trace(result.trace_events)
 
 
-def _run_generated(seed: int, relational: bool) -> str:
+def _run_generated(seed: int) -> str:
     generated = generate_design(seed, GEN_CONFIG)
     result = synthesize(
         generated.design,
         laxity_factor=GEN_LAXITY,
         objective="power",
         traces=generated.traces,
-        config=_trace_config(relational),
+        config=_trace_config(),
         n_samples=GEN_CONFIG.n_samples,
     )
     return dumps_trace(result.trace_events)
 
 
 CASES: dict[str, object] = {
-    "paulin": lambda relational: _run_benchmark("paulin", relational),
-    "test1": lambda relational: _run_benchmark("test1", relational),
+    "paulin": lambda: _run_benchmark("paulin"),
+    "test1": lambda: _run_benchmark("test1"),
 }
 for _seed in GEN_SEEDS:
-    CASES[f"gen{_seed:02d}"] = (
-        lambda relational, seed=_seed: _run_generated(seed, relational)
-    )
+    CASES[f"gen{_seed:02d}"] = lambda seed=_seed: _run_generated(seed)
 
 
-def _golden_path(name: str, relational: bool) -> Path:
-    engine = "relational" if relational else "legacy"
-    return GOLDEN_DIR / f"{name}.{engine}.jsonl"
-
-
-@pytest.mark.parametrize("relational", (True, False),
-                         ids=("relational", "legacy"))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_default_policy_trace_matches_pre_refactor_golden(
-    name, relational, update_goldens
-):
-    observed = CASES[name](relational)
-    path = _golden_path(name, relational)
+def test_default_policy_trace_matches_pre_refactor_golden(name, update_goldens):
+    observed = CASES[name]()
+    path = GOLDEN_DIR / f"{name}.jsonl"
     if update_goldens:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(observed)
@@ -128,6 +115,6 @@ def test_default_policy_trace_matches_pre_refactor_golden(
     )
     expected = path.read_text()
     assert observed == expected, (
-        f"default-policy trace for {name} ({'relational' if relational else 'legacy'} "
-        f"engine) diverged from the pre-refactor golden {path.name}"
+        f"default-policy trace for {name} diverged from the pre-refactor "
+        f"golden {path.name}"
     )

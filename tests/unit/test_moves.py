@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.bench_suite import get_benchmark
 from repro.dfg import GraphBuilder, Design, Operation
+from repro.library import default_library
 from repro.power import simulate_subgraph, speech_traces
 from repro.synthesis import EvaluationContext
 from repro.synthesis.context import SynthesisConfig, SynthesisEnv
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import (
     normalize_registers,
+    register_lifetimes,
     sharing_candidates,
     splitting_candidates,
     type_a_b_candidates,
@@ -31,11 +34,22 @@ def adder_chain_design() -> Design:
     return design
 
 
+def paulin_env(config: SynthesisConfig | None = None):
+    design = get_benchmark("paulin")
+    traces = speech_traces(design.top, n=32, seed=1)
+    sim = simulate_subgraph(
+        design, design.top, [traces[n] for n in design.top.inputs]
+    )
+    env = SynthesisEnv(
+        design, default_library(), "power", config or SynthesisConfig()
+    )
+    sol = initial_solution(env, design.top, sim, 10.0, 5.0, 2000.0)
+    return env, sol, sim
+
+
 @pytest.fixture
 def chain_env():
     design = adder_chain_design()
-    from repro.library import default_library
-
     library = default_library()
     traces = speech_traces(design.top, n=32, seed=1)
     sim = simulate_subgraph(design, design.top, [traces[n] for n in design.top.inputs])
@@ -187,3 +201,46 @@ class TestNormalizeRegisters:
         before = {k: list(v) for k, v in sol.reg_signals.items()}
         normalize_registers(sol)
         assert sol.reg_signals == before
+
+
+class TestPaulinDiscovery:
+    def test_locked_resources_never_touched(self):
+        env, sol, sim = paulin_env()
+        locked = frozenset(
+            list(sol.instances)[:2] + list(sol.reg_signals)[:2]
+        )
+        cands = (
+            type_a_b_candidates(env, sol, sim, locked)
+            + sharing_candidates(env, sol, sim, locked)
+            + splitting_candidates(env, sol, sim, locked)
+        )
+        assert {"A-cell", "C-share-fu", "C-share-reg"} <= {
+            c.kind for c in cands
+        }
+        for cand in cands:
+            assert not (cand.touched & locked), cand.description
+
+    def test_register_pairs_beyond_four_slots(self):
+        """Register sharing enumerates all pairs in left-edge order, not
+        a fixed window of four successors."""
+        env, sol, sim = paulin_env(SynthesisConfig(max_share_pairs=10_000))
+        regs = list(sol.reg_signals)
+        lifetimes = register_lifetimes(sol, regs)
+        regs.sort(key=lambda r: lifetimes[r][-1][1])
+        pos = {r: i for i, r in enumerate(regs)}
+        gaps = [
+            abs(pos[a] - pos[b])
+            for c in sharing_candidates(env, sol, sim, NONE_LOCKED)
+            if c.kind == "C-share-reg"
+            for a, b in [tuple(c.touched)]
+        ]
+        assert gaps, "paulin should offer disjoint register pairs"
+        assert max(gaps) > 4
+
+    def test_tiny_budget_still_reaches_registers(self):
+        env, sol, sim = paulin_env(SynthesisConfig(max_share_pairs=2))
+        cands = sharing_candidates(env, sol, sim, NONE_LOCKED)
+        assert sum(1 for c in cands if c.kind == "C-share-fu") <= 2
+        assert "C-share-reg" in {c.kind for c in cands}, (
+            "register sharing starved by the FU-pair budget"
+        )
