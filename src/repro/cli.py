@@ -113,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--workers", type=int, default=1,
                        help="processes for the (Vdd, clock) operating-point "
                             "sweep (1 = serial; results are identical)")
-    synth.add_argument("--score-workers", type=int, default=1,
-                       help="threads for candidate scoring inside each "
-                            "improvement step (1 = serial; results, telemetry "
-                            "and traces are identical). Measured slower than "
-                            "serial: 2 threads cost +31%% wall on the "
-                            "hierarchical and +15%% on the flattened Table-3 "
-                            "runs")
     synth.add_argument("--no-incremental", action="store_true",
                        help="price every candidate from scratch instead of "
                             "by delta against the current solution "
@@ -131,10 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--no-prune", action="store_true",
                        help="disable dominance/feasibility pruning of "
                             "candidates before pricing")
-    synth.add_argument("--no-batch-activity", action="store_true",
-                       help="price candidate activities one stream set at a "
-                            "time instead of through the batched kernel "
-                            "(results are bit-identical either way)")
     synth.add_argument("--saturate", action="store_true",
                        help="before synthesis, saturate each non-top "
                             "behavior with bit-true algebraic rewrites "
@@ -247,10 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=Path(".repro-service"), metavar="DIR",
                        help="service state directory: job registry, per-job "
                             "artifacts, and the shared persistent store")
-    serve.add_argument("--store-shards", type=int, default=None,
-                       help="shard the persistent store across N SQLite "
-                            "files to spread writer contention (default: "
-                            "auto-detect the on-disk layout)")
     serve.add_argument("--threads", action="store_true",
                        help="thread workers instead of processes (hermetic "
                             "tests, platforms without process pools)")
@@ -383,11 +368,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
     config = quick_config() if args.effort == "quick" else SynthesisConfig()
     config.n_workers = args.workers
-    config.score_workers = args.score_workers
     config.incremental = not args.no_incremental
     config.validate_incremental = args.validate_incremental
     config.prune = not args.no_prune
-    config.batch_activity = not args.no_batch_activity
     config.verify_moves = args.verify
     # Set before the library build so module pre-characterization also
     # warm-starts from (and feeds) the persistent store.
@@ -611,8 +594,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.cache_command == "stats":
             stats = store.persistent_stats()
             print(f"store:   {stats['path']}")
-            if stats.get("shards", 1) > 1:
-                print(f"shards:  {stats['shards']}")
             print(f"entries: {stats['total_entries']}")
             for ns, count in sorted(stats["entries"].items()):
                 print(f"  {ns}: {count}")
@@ -675,7 +656,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         workers=args.workers,
         cache_dir=str(args.cache_dir),
-        store_shards=args.store_shards,
         use_processes=not args.threads,
         prune_jobs=args.prune_jobs,
         prune_store=args.prune_store,
@@ -754,8 +734,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
         store = stats["store"]
         if store:
             print(f"store:   {store.get('total_entries', 0)} entries, "
-                  f"{store.get('bytes', 0)} bytes, "
-                  f"{store.get('shards', 1)} shard(s)")
+                  f"{store.get('bytes', 0)} bytes")
         return 0
     status = client.status(args.job_id)
     _print_job_status(status)

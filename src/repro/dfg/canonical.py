@@ -328,16 +328,14 @@ def library_signature(library) -> str:
 
 #: Config fields excluded from :func:`config_signature` and from a
 #: trace's ``run_start`` config: they change how the run executes
-#: (parallelism, batching, persistence, tracing, debug cross-checking,
+#: (parallelism, persistence, tracing, debug cross-checking,
 #: cache capacities) but not what any memoized synthesis result
 #: contains, so keying on them would only split shareable cache
 #: entries.
 EXECUTION_ONLY_FIELDS = frozenset(
     {
         "n_workers",
-        "score_workers",
         "validate_incremental",
-        "batch_activity",
         "trace",
         "trace_timings",
         "trace_evals",
@@ -346,7 +344,6 @@ EXECUTION_ONLY_FIELDS = frozenset(
         "cache_dir",
         "persistent_cache",
         "run_cache_size",
-        "store_shards",
         # The search policy biases which final solution the outer
         # search reaches, but every *stored* sub-result is policy-
         # independent: nested move-B resynthesis always runs the

@@ -14,9 +14,10 @@ One round:
    a seed-derived objective;
 3. differentially verify the winning RTL against the behavioral
    simulation (:meth:`SynthesisResult.verify`);
-4. re-synthesize with the batched activity kernel disabled and demand a
-   **bit-identical** outcome (metrics and structural solution
-   signature);
+4. re-synthesize with ``validate_incremental`` on — every delta- and
+   batch-priced candidate is re-priced from scratch and any bitwise
+   mismatch raises — and demand a **bit-identical** outcome (metrics
+   and structural solution signature);
 5. optionally run cold-then-warm against one persistent synthesis
    store and demand cold = warm = uncached, all bit-identical.
 
@@ -32,6 +33,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from ..dfg.hierarchy import Design
+from ..errors import SynthesisError
 from ..library import default_library
 from ..power.traces import TraceSet, image_traces, speech_traces, white_traces
 from ..reporting import quick_config
@@ -98,11 +100,11 @@ def _synthesize(
     laxity: float,
     n_samples: int,
     *,
-    batch_activity: bool = True,
+    validate_incremental: bool = False,
     cache_dir: str | None = None,
 ) -> SynthesisResult:
     config = quick_config()
-    config.batch_activity = batch_activity
+    config.validate_incremental = validate_incremental
     config.cache_dir = cache_dir
     library = default_library()
     if any(dfg.hier_nodes() for dfg in design.dfgs()):
@@ -146,21 +148,26 @@ def check_design(
         )
         return outcome  # later cross-checks would re-hit the same bug
 
-    scalar = _synthesize(
-        design, traces, objective, laxity, n_samples, batch_activity=False
-    )
     outcome.checks += 1
-    if _metrics_key(base) != _metrics_key(scalar):
-        outcome.failures.append(
-            "scalar-vs-batched activity pricing diverged: "
-            f"batched={_metrics_key(base)} scalar={_metrics_key(scalar)}"
+    try:
+        checked = _synthesize(
+            design, traces, objective, laxity, n_samples,
+            validate_incremental=True,
         )
-    elif solution_signature(base.solution, design) != solution_signature(
-        scalar.solution, design
-    ):
-        outcome.failures.append(
-            "scalar-vs-batched runs chose structurally different solutions"
-        )
+    except SynthesisError as exc:
+        outcome.failures.append(f"incremental pricing validation: {exc}")
+    else:
+        if _metrics_key(base) != _metrics_key(checked):
+            outcome.failures.append(
+                "validated run diverged from the base run: "
+                f"base={_metrics_key(base)} validated={_metrics_key(checked)}"
+            )
+        elif solution_signature(base.solution, design) != solution_signature(
+            checked.solution, design
+        ):
+            outcome.failures.append(
+                "validated run chose a structurally different solution"
+            )
 
     if store_check:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-store-") as tmp:

@@ -176,8 +176,8 @@ def request_fingerprint(
     Covers the resolved design's content (so ``design_text`` and a
     ``gen_seed`` emitting the same text coalesce), the base library and
     search-shaping config signatures, and every request field that
-    shapes result bytes.  Execution-only server knobs (worker counts,
-    shard counts) are deliberately absent — they never change results.
+    shapes result bytes.  Execution-only server knobs (worker
+    counts) are deliberately absent — they never change results.
     """
     return digest_content(
         (

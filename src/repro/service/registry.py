@@ -1,7 +1,7 @@
 """SQLite-backed job registry shared by server, workers and CLI tools.
 
 The registry is the durable side of the job server: one ``jobs`` table
-(in its own database file next to the synthesis store's shards, inside
+(in its own database file next to the synthesis store's, inside
 the service cache directory) holding every job's request, lifecycle
 timestamps, and — for finished jobs — the result JSON or error string.
 

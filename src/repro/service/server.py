@@ -57,8 +57,6 @@ class ServiceConfig:
     workers: int = 1
     #: Registry + store directory (the service's durable state).
     cache_dir: str = ".repro-service"
-    #: Persistent-tier shard count (``None`` auto-detects the layout).
-    store_shards: int | None = None
     #: Run jobs in worker *processes* (the default).  Thread mode exists
     #: for platforms without process pools and for hermetic tests.
     use_processes: bool = True
@@ -121,10 +119,7 @@ class SynthesisService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self.registry = JobRegistry(self.config.cache_dir)
-        self.store = SynthesisStore(
-            cache_dir=self.config.cache_dir,
-            shards=self.config.store_shards,
-        )
+        self.store = SynthesisStore(cache_dir=self.config.cache_dir)
         self.stats = ServiceStats()
         #: fingerprint → job id of the queued/running job, for O(1)
         #: coalescing inside this server process.
@@ -386,7 +381,6 @@ class SynthesisService:
             "request": request.to_dict(),
             "fingerprint": fingerprint,
             "cache_dir": self.config.cache_dir,
-            "store_shards": self.store.shards,
             "persistent_cache": True,
             "jobs_dir": str(self.registry.jobs_dir),
         }

@@ -56,7 +56,6 @@ def job_config(request: JobRequest, payload: dict[str, Any]) -> SynthesisConfig:
     config = quick_config() if request.effort == "quick" else SynthesisConfig()
     config.cache_dir = payload.get("cache_dir")
     config.persistent_cache = payload.get("persistent_cache", True)
-    config.store_shards = payload.get("store_shards")
     if request.trace:
         config.trace = True
         # Timings off: job traces double as bit-identity witnesses
@@ -103,8 +102,8 @@ def run_job(payload: dict[str, Any]) -> dict[str, Any]:
     """Execute one synthesis job; the process-pool entry point.
 
     *payload* carries the wire request plus server-side placement:
-    ``job_id``, ``request`` (dict), ``cache_dir``/``store_shards``/
-    ``persistent_cache`` (the shared store), ``jobs_dir`` (progress and
+    ``job_id``, ``request`` (dict), ``cache_dir``/``persistent_cache``
+    (the shared store), ``jobs_dir`` (progress and
     trace files; ``None`` silences both), and ``fingerprint`` (echoed
     into the result).  Raises :class:`~repro.errors.ReproError`
     subclasses on invalid/ infeasible jobs — the server records them as

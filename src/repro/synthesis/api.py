@@ -542,8 +542,8 @@ def _traced_config(config: SynthesisConfig) -> dict[str, Any]:
     """Search-shaping knobs recorded in a trace's ``run_start`` event.
 
     The execution-only fields of
-    :data:`~repro.dfg.canonical.EXECUTION_ONLY_FIELDS` (worker counts,
-    ``batch_activity``, ``validate_incremental``, the ``trace_*`` family
+    :data:`~repro.dfg.canonical.EXECUTION_ONLY_FIELDS` (worker count,
+    ``validate_incremental``, the ``trace_*`` family
     and the store knobs) do not change what the search does (or what
     its trace records), and keeping them out is what lets a 1-worker
     and a 4-worker run — or a cold and a warm-cache run — produce

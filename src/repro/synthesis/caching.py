@@ -76,7 +76,7 @@ class LRUCache(Generic[K, V]):
 
     def peek(self, key: K, default: V | None = None) -> V | None:
         """Look up ``key`` without touching recency or the hit/miss
-        counters (used by speculative work that must not perturb the
+        counters (used by batched pricing, which must not perturb the
         cache statistics of the serial accounting pass)."""
         return self._data.get(key, default)
 

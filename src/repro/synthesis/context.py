@@ -89,23 +89,10 @@ class SynthesisConfig:
     #: as well and raise :class:`~repro.errors.SynthesisError` on any
     #: bitwise mismatch.  Roughly doubles pricing cost.
     validate_incremental: bool = False
-    #: Price each KL round's candidate set through the batched activity
-    #: kernel: collect every activity-key miss across the whole set and
-    #: resolve them in one array pass (see
-    #: :meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`).
-    #: Execution knob only — results, counters and traces are
-    #: bit-identical either way.
-    batch_activity: bool = True
     #: Discard provably dominated / structurally hopeless candidates
     #: before pricing (counted per family in telemetry as
     #: ``moves_pruned``).  Outcome-preserving by construction.
     prune: bool = True
-    #: Threads for candidate scoring inside one improvement step.
-    #: 1 = serial; >1 prices uncached candidates speculatively on a
-    #: thread pool while all accounting stays serial, so results,
-    #: telemetry and traces are identical at any setting.  Composes
-    #: with ``n_workers`` (each sweep worker scores with its own pool).
-    score_workers: int = 1
     #: Record the search as structured trace events (run → point → pass
     #: → move, with gain attribution); surfaced on
     #: ``SynthesisResult.trace_events`` and the CLI's ``--trace`` flag.
@@ -135,13 +122,6 @@ class SynthesisConfig:
     #: (entries; each holds one pickled module/resynthesis/schedule
     #: result, shared across operating points within a run).
     run_cache_size: int = 4096
-    #: Shard count of the persistent store tier (``None`` auto-detects
-    #: the on-disk layout, which is 1 for fresh directories).  Sharding
-    #: splits the SQLite tier across several database files by digest
-    #: prefix so many concurrent writers — the job server's worker
-    #: fleet — do not serialize on one writer lock.  Execution knob
-    #: only: results are bit-identical at any count.
-    store_shards: int | None = None
     #: Search policy driving the improvement loop's discretionary
     #: decisions (family order, candidate ranking, restarts, early
     #: termination).  ``"default"`` reproduces the paper's fixed scheme
@@ -356,7 +336,6 @@ class SynthesisEnv:
                 share_metrics=(
                     not self.config.trace or self._resynth_active
                 ),
-                batch_pricing=self.config.batch_activity,
             )
             # Bounded: evict the oldest context (and its strong sim ref;
             # live id() keys stay valid because live contexts pin their

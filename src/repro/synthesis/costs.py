@@ -129,7 +129,6 @@ class EvaluationContext:
         design: object | None = None,
         store_prefix: str | None = None,
         share_metrics: bool = False,
-        batch_pricing: bool = True,
     ):
         self.sim = sim
         self.path = path
@@ -141,11 +140,6 @@ class EvaluationContext:
         #: Debug mode: recompute every delta-priced evaluation from
         #: scratch and raise on any bitwise mismatch.
         self.validate_incremental = validate_incremental
-        #: Price candidate sets through :meth:`evaluate_batch`: plan all
-        #: uncached candidates, resolve every activity-key miss with one
-        #: batched kernel call, then replay each candidate's arithmetic.
-        #: Results are bit-identical either way (execution knob only).
-        self.batch_pricing = batch_pricing
         #: Share schedules across candidates with equal task signatures
         #: (part of the incremental machinery; off reproduces the
         #: schedule-per-candidate behavior of from-scratch pricing).
@@ -158,17 +152,18 @@ class EvaluationContext:
         #: the cost cache; the improvement loop fetches the current
         #: solution's breakdown to delta-price its candidates against.
         self._breakdowns: LRUCache[HashedKey, Breakdown] = LRUCache(cache_size)
-        #: Results computed speculatively on scoring threads
-        #: (:meth:`prime`), consumed by the serial accounting pass.
+        #: Results priced ahead of the serial accounting pass
+        #: (:meth:`prime`), consumed by :meth:`evaluate`.
         self._primed: dict[
             HashedKey, tuple[Metrics, Breakdown, int, int]
         ] = {}
         #: Canonical metrics content keys, memoized per fingerprint.
         #: One candidate's content is needed up to three times (the
-        #: speculative ``contains`` filter, then ``fetch`` and ``put``
-        #: in the serial pass); building the pricing signature each time
-        #: was measurable, and returning the *same* tuple object lets
-        #: the store's digest memo answer repeat hashings for free.
+        #: ``contains`` filter of :meth:`evaluate_batch`, then ``fetch``
+        #: and ``put`` in the serial pass); building the pricing
+        #: signature each time was measurable, and returning the *same*
+        #: tuple object lets the store's digest memo answer repeat
+        #: hashings for free.
         self._content_memo: LRUCache[HashedKey, tuple] = LRUCache(cache_size)
         #: Tiered synthesis store carrying the shared schedule memo
         #: (namespace ``"schedule"``); ``None`` for bare contexts
@@ -378,19 +373,13 @@ class EvaluationContext:
         """Run the evaluator (delta or full), optionally cross-checked.
 
         Pure with respect to context state: no telemetry, cache or
-        recorder side effects, so scoring threads can call it
-        speculatively (:meth:`prime`) without perturbing the serial
-        accounting.
+        recorder side effects; :meth:`evaluate` does the accounting.
         """
         result = evaluate_solution(self, solution, base)
         if base is not None and self.validate_incremental:
             reference = evaluate_solution(self, solution, None)[0]
             _check_identical(result[0], reference)
         return result
-
-    def _evaluate_uncached(self, solution: Solution) -> Metrics:
-        """Full evaluation: netlist rebuild + trace-driven estimation."""
-        return evaluate_solution(self, solution, None)[0]
 
     def breakdown_of(self, solution: Solution) -> Breakdown | None:
         """The stored per-term breakdown of an already-evaluated solution.
@@ -402,69 +391,19 @@ class EvaluationContext:
         return self._breakdowns.peek(solution.fingerprint_key())
 
     # ------------------------------------------------------------------
-    def prime(
-        self,
-        work: list[tuple[Solution, Breakdown | None]],
-        workers: int,
+    def evaluate_batch(
+        self, work: list[tuple[Solution, Breakdown | None]]
     ) -> None:
-        """Speculatively evaluate uncached solutions on a thread pool.
+        """Price one round's candidate set ahead of the serial pass.
 
         ``work`` pairs each candidate solution with the base breakdown
-        it would be priced against.  Solutions already in the cost cache
-        (or already primed) are skipped; the rest are computed
-        concurrently and stashed for :meth:`evaluate` to consume.  All
-        accounting — telemetry, cache recency and eviction, trace
-        events — still happens in the caller's serial pass, so results,
-        counters and traces are identical at any worker count.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
-        seen: set[HashedKey] = set()
-        for solution, base in work:
-            key = solution.fingerprint_key()
-            if (
-                key in seen
-                or key in self._primed
-                or self._cost_cache.peek(key) is not None
-            ):
-                continue
-            if self._share_metrics and self.store.contains(
-                "metrics", self._metrics_content(solution, key)
-            ):
-                # The serial accounting pass will answer this candidate
-                # from the store; computing it here would waste a slot.
-                continue
-            seen.add(key)
-            jobs.append((key, solution, base))
-        if len(jobs) < 2 or workers < 2:
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda job: self._compute(job[1], job[2]), jobs)
-            )
-        for (key, _solution, _base), result in zip(jobs, results):
-            self._primed[key] = result
-
-    def evaluate_batch(
-        self,
-        work: list[tuple[Solution, Breakdown | None]],
-        workers: int = 1,
-    ) -> None:
-        """Price a whole candidate set through one batched activity call.
-
-        Every uncached ``(solution, base)`` pair is *planned* (netlist,
-        schedule, stream-free terms, activity-key matching against its
-        base); the activity requests of all plans are then resolved with
-        a single :func:`~repro.power.activity.batch_activities` kernel
-        call, and each plan's per-term float arithmetic is replayed
-        unchanged.  Results land in the same speculative stash
-        :meth:`prime` uses, so the caller's serial :meth:`evaluate` pass
-        keeps all telemetry/cache/trace accounting — and therefore
-        counters, traces and metrics — identical to unbatched pricing.
-
-        With ``workers > 1`` the planning phase runs on a thread pool
-        (the kernel call and the arithmetic replay stay serial).
+        it would be priced against.  Solutions already in the cost cache,
+        already primed, or served by the store are skipped, duplicates
+        are priced once, and the rest go to :meth:`prime`.  All
+        accounting — telemetry, cache recency and eviction, trace events
+        — still happens in the caller's serial :meth:`evaluate` pass, so
+        counters, traces and metrics are identical to pricing each
+        candidate on its own.
         """
         jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
         seen: set[HashedKey] = set()
@@ -484,30 +423,32 @@ class EvaluationContext:
                 continue
             seen.add(key)
             jobs.append((key, solution, base))
-        if not jobs:
-            return
-        if workers > 1 and len(jobs) > 1:
-            from concurrent.futures import ThreadPoolExecutor
+        if jobs:
+            self.prime(jobs)
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                plans = list(
-                    pool.map(
-                        lambda job: plan_evaluation(self, job[1], job[2]),
-                        jobs,
-                    )
-                )
-        else:
-            plans = [
-                plan_evaluation(self, solution, base)
-                for _key, solution, base in jobs
-            ]
+    def prime(
+        self, jobs: list[tuple[HashedKey, Solution, Breakdown | None]]
+    ) -> None:
+        """Evaluate ``(key, solution, base)`` jobs through one kernel call.
+
+        Every job is *planned* (netlist, schedule, stream-free terms,
+        activity-key matching against its base); the activity requests
+        of all plans are then resolved with a single
+        :func:`~repro.power.activity.batch_activities` call, and each
+        plan's per-term float arithmetic is replayed unchanged.  Results
+        are stashed under their key for :meth:`evaluate` to consume.
+        """
+        plans = [
+            plan_evaluation(self, solution, base)
+            for _key, solution, base in jobs
+        ]
         requests: list = []
         offsets: list[int] = []
         for plan in plans:
             offsets.append(len(requests))
             requests.extend(plan.requests)
         activities = batch_activities(requests) if requests else []
-        for (key, solution, base), plan, lo in zip(jobs, plans, offsets):
+        for (key, solution, _base), plan, lo in zip(jobs, plans, offsets):
             result = finish_evaluation(
                 plan, activities[lo:lo + len(plan.requests)]
             )
@@ -517,11 +458,11 @@ class EvaluationContext:
             self._primed[key] = result
 
     def discard_primed(self) -> None:
-        """Drop unconsumed speculative results.
+        """Drop unconsumed primed results.
 
         Called at the end of each pricing round: a stale primed entry
         would later be consumed with reuse counts from the wrong base,
-        skewing the delta-hit telemetry away from the serial baseline.
+        skewing the delta-hit telemetry.
         """
         self._primed.clear()
 

@@ -88,7 +88,6 @@ def _best(
     ctx: EvaluationContext,
     candidates: list[Candidate],
     base: Breakdown | None = None,
-    workers: int = 1,
 ) -> ScoredMove | None:
     """Price all candidates, return the cheapest feasible-or-not one.
 
@@ -96,30 +95,19 @@ def _best(
     carrying a local footprint are priced by delta against it (see
     :mod:`repro.synthesis.incremental`), the rest from scratch.
 
+    The whole round is priced first through one batched activity call
+    (:meth:`~repro.synthesis.costs.EvaluationContext.evaluate_batch`);
+    the loop below then consumes those results and keeps all
+    cache/telemetry/trace accounting serial, in candidate order.
     Equal-cost candidates resolve by the deterministic
     :func:`~repro.synthesis.moves.candidate_order_key`, never by
-    generation order — this pins the winner regardless of evaluation
-    order, which is what allows ``workers > 1`` to speculatively price
-    uncached candidates on a thread pool (via
-    :meth:`~repro.synthesis.costs.EvaluationContext.prime`) while the
-    loop below keeps all cache/telemetry/trace accounting exactly
-    serial.
+    generation order.
     """
 
     def candidate_base(candidate: Candidate) -> Breakdown | None:
         return base if candidate.footprint is not None else None
 
-    if ctx.batch_pricing and len(candidates) > 1:
-        # Collect every activity-key miss across the whole candidate set
-        # and price them through one batched kernel call; the serial
-        # loop below then consumes the stashed results.
-        ctx.evaluate_batch(
-            [(c.solution, candidate_base(c)) for c in candidates], workers
-        )
-    elif workers > 1 and len(candidates) > 1:
-        ctx.prime(
-            [(c.solution, candidate_base(c)) for c in candidates], workers
-        )
+    ctx.evaluate_batch([(c.solution, candidate_base(c)) for c in candidates])
     best: ScoredMove | None = None
     best_key: tuple | None = None
     for candidate in candidates:
@@ -231,7 +219,6 @@ def improve_solution(
             # pass seed), so its breakdown is normally resident; a None
             # (evicted) simply means candidates price from scratch.
             base = ctx.breakdown_of(work) if config.incremental else None
-            workers = config.score_workers
             discovered: dict[str, int] = {}
             groups: dict[str, list[Candidate]] = {}
             scored: dict[str, ScoredMove | None] = {}
@@ -241,9 +228,7 @@ def improve_solution(
                     discovered, _pass, _step,
                 )
             for family in plan:
-                scored[family] = _best(
-                    ctx, groups[family], base=base, workers=workers
-                )
+                scored[family] = _best(ctx, groups[family], base=base)
             work_cost = sequence[-1][1] if sequence else current_cost
             if "split" not in plan and policy.try_split(
                 scored.get("share"), work_cost
@@ -252,7 +237,7 @@ def improve_solution(
                     env, ctx, policy, "split", work, sim, locked,
                     discovered, _pass, _step,
                 )
-                m4 = _best(ctx, groups["split"], base=base, workers=workers)
+                m4 = _best(ctx, groups["split"], base=base)
                 # The split winner competes in the sharing slot — the
                 # paper's rule: splitting substitutes for a failed
                 # sharing move, it does not outrank type A/B on ties.

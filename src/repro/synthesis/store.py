@@ -20,11 +20,9 @@ resynthesis memo, and schedule memoization) with three tiers:
   with the same addressing, shared across runs and across worker
   processes.  Writes are ``INSERT OR IGNORE``: content-addressed
   entries are immutable, so concurrent writers at ``n_workers > 1``
-  can only race to store the same bytes.  For multi-tenant keyspaces
-  (the job server's shared cache) the tier can be **sharded** across
-  several database files by digest prefix, spreading writer contention
-  and letting eviction run shard by shard; see :meth:`SynthesisStore.
-  detect_shards` for how readers discover an existing layout.
+  can only race to store the same bytes.  The tier is one database
+  file, ``synthesis_store.sqlite``; any other file in the directory is
+  ignored.
 
 The lookup protocol is two-step to mirror the legacy control flow
 exactly: :meth:`get` probes only the point tier (the legacy fast path,
@@ -53,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import pickle
-import re
 import sqlite3
 import threading
 import time
@@ -94,12 +91,8 @@ STORE_SCHEMA_VERSION = 2
 #: Sentinel distinguishing "not stored" from a stored ``None``.
 MISSING = object()
 
-#: Database filename inside ``--cache-dir`` (single-shard layout).
+#: Database filename inside ``--cache-dir``.
 _DB_NAME = "synthesis_store.sqlite"
-
-#: Shard filename pattern for ``shards > 1`` layouts.
-_SHARD_NAME = "synthesis_store.shard{index:02d}.sqlite"
-_SHARD_RE = re.compile(r"synthesis_store\.shard(\d{2})\.sqlite$")
 
 #: Retries for transient ``database is locked`` write failures; WAL
 #: allows concurrent readers but serializes writers, and a busy server
@@ -275,7 +268,6 @@ class SynthesisStore:
         run_cache_size: int = 4096,
         cache_dir: str | None = None,
         persistent: bool = True,
-        shards: int | None = None,
     ):
         self._point_sizes = dict(point_sizes or {})
         self._point: dict[str, LRUCache] = {}
@@ -285,12 +277,11 @@ class SynthesisStore:
         #: tier (see ``api._sweep_points``).
         self._fresh: list[tuple[str, str, bytes]] = []
         #: Guards the run tier, the counters and the SQLite connection:
-        #: speculative candidate scoring calls :meth:`get`/:meth:`put`
-        #: from threads (``score_workers > 1``).
+        #: the job server uses its store from more than one thread.
         self._lock = threading.Lock()
         #: id(content) → (content, digest).  One content tuple flows
         #: through up to three digesting calls per candidate
-        #: (``contains`` during speculative filtering, then ``fetch``
+        #: (``contains`` while a round is batched, then ``fetch``
         #: and ``put`` in the serial pass); re-hashing the multi-KB repr
         #: each time was a measurable fraction of pricing.  The content
         #: tuple is kept in the value so its id cannot be recycled while
@@ -299,23 +290,18 @@ class SynthesisStore:
         self._digest_memo: dict[int, tuple[tuple, str]] = {}
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.persistent = self.cache_dir is not None and persistent
-        #: Persistent-tier connections, one per shard (empty when the
-        #: tier is disabled or unusable).
-        self._dbs: list[sqlite3.Connection] = []
-        self.shards = 1
+        #: Persistent-tier connection (``None`` when the tier is
+        #: disabled or unusable).
+        self._db: sqlite3.Connection | None = None
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._evictions: dict[str, int] = {}
         if self.persistent:
             try:
-                self._dbs = self._open_dbs(shards)
-                self.shards = len(self._dbs)
+                self._db = self._open_db()
             except (sqlite3.Error, OSError):
                 # A broken/locked database (or an unusable directory)
                 # must never break synthesis; degrade to memory tiers.
-                for db in self._dbs:
-                    db.close()
-                self._dbs = []
                 self.persistent = False
 
     @classmethod
@@ -334,28 +320,7 @@ class SynthesisStore:
             run_cache_size=config.run_cache_size,
             cache_dir=config.cache_dir,
             persistent=config.persistent_cache,
-            shards=getattr(config, "store_shards", None),
         )
-
-    @staticmethod
-    def detect_shards(cache_dir: str | Path) -> int:
-        """Shard count of an existing on-disk layout (1 for fresh dirs).
-
-        A sharded directory holds ``synthesis_store.shardNN.sqlite``
-        files; the count is the highest index plus one, so readers that
-        pass ``shards=None`` route digests exactly like the writer that
-        created the layout.  A plain ``synthesis_store.sqlite`` (or an
-        empty/missing directory) is the single-shard layout.
-        """
-        path = Path(cache_dir)
-        if not path.is_dir():
-            return 1
-        indices = [
-            int(m.group(1))
-            for p in path.glob("synthesis_store.shard??.sqlite")
-            if (m := _SHARD_RE.search(p.name)) is not None
-        ]
-        return max(indices) + 1 if indices else 1
 
     def bind(self, telemetry) -> None:
         """Write per-tier counters into *telemetry*'s store dicts.
@@ -454,20 +419,19 @@ class SynthesisStore:
     def contains(self, ns: str, content: tuple) -> bool:
         """Whether the run or persistent tier holds *content*.
 
-        A pure probe — no counters, no point-tier install: speculative
-        scoring (:meth:`~repro.synthesis.costs.EvaluationContext.prime`)
-        uses it to skip candidates the serial accounting pass will
-        answer from the store anyway.
+        A pure probe — no counters, no point-tier install: batched
+        pricing (:meth:`~repro.synthesis.costs.EvaluationContext.
+        evaluate_batch`) uses it to skip candidates the serial
+        accounting pass will answer from the store anyway.
         """
         blob_key = (ns, self._digest(content))
         with self._lock:
             if self._run.peek(blob_key) is not None:
                 return True
-            db = self._shard_for(blob_key[1])
-            if db is None:
+            if self._db is None:
                 return False
             try:
-                row = db.execute(
+                row = self._db.execute(
                     "SELECT 1 FROM store WHERE ns = ? AND key = ?", blob_key
                 ).fetchone()
             except sqlite3.Error:
@@ -583,26 +547,16 @@ class SynthesisStore:
     # ------------------------------------------------------------------
     # Persistent tier (SQLite)
     # ------------------------------------------------------------------
-    def _open_dbs(self, shards: int | None) -> list[sqlite3.Connection]:
+    def _open_db(self) -> sqlite3.Connection:
         assert self.cache_dir is not None
         path = Path(self.cache_dir)
         path.mkdir(parents=True, exist_ok=True)
-        if shards is None:
-            shards = self.detect_shards(path)
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards == 1:
-            files = [path / _DB_NAME]
-        else:
-            files = [
-                path / _SHARD_NAME.format(index=i) for i in range(shards)
-            ]
-        return [self._open_one(file) for file in files]
-
-    def _open_one(self, file: Path) -> sqlite3.Connection:
-        # check_same_thread=False: scoring threads may fetch/put; all
-        # access is serialized by self._lock.
-        db = sqlite3.connect(file, timeout=30.0, check_same_thread=False)
+        # check_same_thread=False: the job server opens its store on
+        # one thread and uses it from its event-loop thread; all access
+        # is serialized by self._lock.
+        db = sqlite3.connect(
+            path / _DB_NAME, timeout=30.0, check_same_thread=False
+        )
         db.execute("PRAGMA journal_mode=WAL")
         db.execute("PRAGMA synchronous=NORMAL")
         # Belt over the connect timeout: writers blocked on another
@@ -633,26 +587,12 @@ class SynthesisStore:
         db.commit()
         return db
 
-    def _shard_for(self, digest: str) -> sqlite3.Connection | None:
-        """Connection owning *digest*, or ``None`` when the tier is off.
-
-        Digests are uniform SHA-256 hex, so routing on the leading 32
-        bits spreads the keyspace evenly; single-shard stores skip the
-        arithmetic entirely.
-        """
-        if not self._dbs:
-            return None
-        if len(self._dbs) == 1:
-            return self._dbs[0]
-        return self._dbs[int(digest[:8], 16) % len(self._dbs)]
-
     def _db_get(self, blob_key: tuple[str, str]) -> bytes | None:
-        db = self._shard_for(blob_key[1])
-        if db is None:
+        if self._db is None:
             return None
         ns = blob_key[0]
         try:
-            row = db.execute(
+            row = self._db.execute(
                 "SELECT value FROM store WHERE ns = ? AND key = ?", blob_key
             ).fetchone()
         except sqlite3.Error:
@@ -671,7 +611,7 @@ class SynthesisStore:
     def _db_write(
         self, sql: str, blob_key: tuple[str, str], blob: bytes
     ) -> None:
-        db = self._shard_for(blob_key[1])
+        db = self._db
         if db is None:
             return
         for attempt in range(_WRITE_RETRIES):
@@ -694,56 +634,31 @@ class SynthesisStore:
                 return
 
     def persistent_stats(self) -> dict[str, Any]:
-        """Entry counts and on-disk size of the persistent tier.
-
-        Aggregated across shards; ``path`` names the single database
-        file of a one-shard store and the cache directory otherwise.
-        """
-        if not self._dbs or self.cache_dir is None:
+        """Entry counts and on-disk size of the persistent tier."""
+        if self._db is None or self.cache_dir is None:
             return {"path": None, "entries": {}, "total_entries": 0,
-                    "bytes": 0, "shards": 0}
-        entries: dict[str, int] = {}
-        size = 0
-        for db, file in zip(self._dbs, self._db_files()):
-            rows = db.execute(
-                "SELECT ns, COUNT(*), SUM(LENGTH(value)) FROM store"
-                " GROUP BY ns ORDER BY ns"
-            ).fetchall()
-            for ns, n, _sz in rows:
-                entries[ns] = entries.get(ns, 0) + n
-            size += file.stat().st_size if file.exists() else 0
-        path = (
-            Path(self.cache_dir) / _DB_NAME
-            if len(self._dbs) == 1
-            else Path(self.cache_dir)
-        )
+                    "bytes": 0}
+        rows = self._db.execute(
+            "SELECT ns, COUNT(*) FROM store GROUP BY ns ORDER BY ns"
+        ).fetchall()
+        entries = {ns: n for ns, n in rows}
+        file = Path(self.cache_dir) / _DB_NAME
         return {
-            "path": str(path),
-            "entries": dict(sorted(entries.items())),
+            "path": str(file),
+            "entries": entries,
             "total_entries": sum(entries.values()),
-            "bytes": size,
-            "shards": len(self._dbs),
+            "bytes": file.stat().st_size if file.exists() else 0,
         }
-
-    def _db_files(self) -> list[Path]:
-        assert self.cache_dir is not None
-        root = Path(self.cache_dir)
-        if len(self._dbs) == 1:
-            return [root / _DB_NAME]
-        return [
-            root / _SHARD_NAME.format(index=i) for i in range(len(self._dbs))
-        ]
 
     def clear_persistent(self) -> int:
         """Delete every persistent entry; returns the number removed."""
-        removed = 0
+        if self._db is None:
+            return 0
         with self._lock:
-            for db in self._dbs:
-                n = db.execute("SELECT COUNT(*) FROM store").fetchone()[0]
-                db.execute("DELETE FROM store")
-                db.commit()
-                removed += int(n)
-        return removed
+            n = self._db.execute("SELECT COUNT(*) FROM store").fetchone()[0]
+            self._db.execute("DELETE FROM store")
+            self._db.commit()
+        return int(n)
 
     def prune_persistent(self, max_entries: int) -> int:
         """Evict oldest-inserted entries beyond *max_entries*.
@@ -752,47 +667,36 @@ class SynthesisStore:
         (``INSERT OR IGNORE``), so SQLite's implicit ``rowid`` is a
         faithful insertion clock: pruning lowest rowids first drops the
         longest-stored results — for a fuzzing/corpus workload, the
-        designs least likely to recur.  Sharded stores split the budget
-        evenly across shards (digest routing is uniform, so per-shard
-        insertion order is the per-shard age order).  Returns the number
-        evicted, and counts them in telemetry as ``persistent.<ns>``
-        evictions.
+        designs least likely to recur.  Returns the number evicted, and
+        counts them in telemetry as ``persistent.<ns>`` evictions.
         """
-        if not self._dbs:
+        if self._db is None:
             return 0
         if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        k = len(self._dbs)
-        base, extra = divmod(max_entries, k)
-        evicted = 0
         with self._lock:
-            for index, db in enumerate(self._dbs):
-                quota = base + (1 if index < extra else 0)
-                try:
-                    victims = db.execute(
-                        "SELECT rowid, ns FROM store ORDER BY rowid DESC"
-                        " LIMIT -1 OFFSET ?",
-                        (quota,),
-                    ).fetchall()
-                    if not victims:
-                        continue
-                    db.executemany(
-                        "DELETE FROM store WHERE rowid = ?",
-                        [(rowid,) for rowid, _ns in victims],
-                    )
-                    db.commit()
-                except sqlite3.Error:
-                    continue
-                for _rowid, ns in victims:
-                    self._tick(self._evictions, f"persistent.{ns}")
-                evicted += len(victims)
-        return evicted
+            try:
+                victims = self._db.execute(
+                    "SELECT rowid, ns FROM store ORDER BY rowid DESC"
+                    " LIMIT -1 OFFSET ?",
+                    (max_entries,),
+                ).fetchall()
+                self._db.executemany(
+                    "DELETE FROM store WHERE rowid = ?",
+                    [(rowid,) for rowid, _ns in victims],
+                )
+                self._db.commit()
+            except sqlite3.Error:
+                return 0
+            for _rowid, ns in victims:
+                self._tick(self._evictions, f"persistent.{ns}")
+        return len(victims)
 
     def close(self) -> None:
-        """Close the persistent connections (idempotent)."""
-        for db in self._dbs:
-            db.close()
-        self._dbs = []
+        """Close the persistent connection (idempotent)."""
+        if self._db is not None:
+            self._db.close()
+            self._db = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         tiers = ", ".join(

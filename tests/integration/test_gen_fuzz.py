@@ -4,8 +4,8 @@ Two tiers:
 
 * **smoke slice** (PR-gating, unmarked): a few fixed seeds through the
   full differential round — end-to-end synthesis, RTL verification,
-  scalar-vs-batched bit-identity, one cold/warm persistent-store
-  cross-check.
+  a ``validate_incremental`` re-run that must match bit for bit, one
+  cold/warm persistent-store cross-check.
 * **fuzz gate** (``-m fuzz``, nightly): 200 seeded designs through the
   same oracle, fanned out over worker processes.  Any failure report
   carries its seed, which replays in isolation via::
@@ -57,6 +57,34 @@ class TestSmokeSlice:
             f"benchmarks/fuzz_designs.py --replay {seed}"
             for f in outcome.failures
         )
+
+
+class TestValidatedPricingOracle:
+    def test_corrupted_delta_pricing_is_reported(self, monkeypatch):
+        """A delta-pricing bug shared by every pricing path must still
+        fail the round: the validated leg re-prices from scratch."""
+        from repro.synthesis import costs, incremental
+
+        real_plan = incremental.plan_evaluation
+
+        def corrupt_plan(ctx, solution, base=None):
+            plan = real_plan(ctx, solution, base)
+            if base is not None:
+                for i, term in enumerate(plan.terms):
+                    if term.reused and term.activity is not None:
+                        plan.terms[i] = term._replace(
+                            activity=term.activity + 0.25, energy=None
+                        )
+                        break
+            return plan
+
+        monkeypatch.setattr(incremental, "plan_evaluation", corrupt_plan)
+        monkeypatch.setattr(costs, "plan_evaluation", corrupt_plan)
+        outcome = check_seed(0, SMOKE_CONFIG)
+        assert not outcome.ok
+        assert any(
+            "incremental pricing validation" in f for f in outcome.failures
+        ), outcome.failures
 
 
 @pytest.mark.fuzz

@@ -255,7 +255,6 @@ class TestWorkerTeardown:
             "request": request,
             "fingerprint": "fp-test",
             "cache_dir": str(tmp_path / "cache"),
-            "store_shards": 1,
             "persistent_cache": True,
             "jobs_dir": None,
         }
@@ -298,12 +297,11 @@ class TestBitIdentity:
         from repro.synthesis import synthesize
         from repro.trace import write_trace
 
-        # A fresh store configured exactly like the service's (cold, one
-        # shard) so even the store-tier telemetry counters must match.
+        # A fresh store configured exactly like the service's (cold) so
+        # even the store-tier telemetry counters must match.
         job = JobRequest.from_dict(request)
         config = job_config(job, {
             "cache_dir": str(tmp_path / "direct-cache"),
-            "store_shards": 1,
             "persistent_cache": True,
         })
         design = parse_design(request["design_text"],

@@ -139,9 +139,9 @@ class TestContextSignatures:
 
     def test_config_signature_ignores_execution_knobs(self):
         base = SynthesisConfig()
-        execy = SynthesisConfig(n_workers=8, score_workers=4, trace=True,
+        execy = SynthesisConfig(n_workers=8, trace=True,
                                 cache_dir="/tmp/x", run_cache_size=7,
-                                batch_activity=False)
+                                validate_incremental=True)
         functional = SynthesisConfig(max_passes=1)
         assert config_signature(base) == config_signature(execy)
         assert config_signature(base) != config_signature(functional)

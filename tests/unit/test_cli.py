@@ -323,17 +323,16 @@ class TestServiceParsers:
         assert args.port == 8000
         assert args.workers == 1
         assert str(args.cache_dir) == ".repro-service"
-        assert args.store_shards is None
         assert not args.threads
 
     def test_serve_overrides(self):
         args = build_parser().parse_args(
             ["serve", "--port", "0", "--workers", "4",
-             "--cache-dir", "svc", "--store-shards", "8", "--threads",
+             "--cache-dir", "svc", "--threads",
              "--prune-jobs", "100", "--prune-store", "5000"]
         )
         assert args.port == 0 and args.workers == 4
-        assert args.store_shards == 8 and args.threads
+        assert args.threads
         assert args.prune_jobs == 100 and args.prune_store == 5000
 
     def test_submit_needs_exactly_one_source(self):

@@ -6,6 +6,8 @@ the Metrics a from-scratch evaluation produces — same floats, not
 approximately equal floats.
 """
 
+import math
+
 import pytest
 
 from repro.errors import SynthesisError
@@ -16,6 +18,7 @@ from repro.synthesis.improve import _best
 from repro.synthesis.incremental import evaluate_solution
 from repro.synthesis.initial import initial_solution
 from repro.synthesis.moves import (
+    candidate_order_key,
     sharing_candidates,
     splitting_candidates,
     type_a_b_candidates,
@@ -251,26 +254,7 @@ class TestValidateMode:
                 ctx.evaluate(cand.solution, base=base)
 
 
-class TestParallelScoring:
-    def test_workers_match_serial_exactly(self, setup, flat_sim):
-        env, sol, sim = setup
-        candidates = _all_candidates(env, sol, sim)
-        assert len(candidates) > 2
-
-        def score(workers):
-            ctx = EvaluationContext(flat_sim, (), "power")
-            ctx.evaluate(sol)
-            base = ctx.breakdown_of(sol)
-            best = _best(ctx, candidates, base=base, workers=workers)
-            return best, ctx.telemetry
-
-        serial, tel1 = score(1)
-        parallel, tel4 = score(4)
-        assert serial is not None and parallel is not None
-        assert serial.candidate.description == parallel.candidate.description
-        assert serial.cost_after == parallel.cost_after
-        assert tel1.as_dict() == tel4.as_dict()
-
+class TestTieBreak:
     def test_order_independent_tiebreak(self, setup, flat_sim):
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
@@ -284,22 +268,26 @@ class TestParallelScoring:
 
 
 class TestBatchedPricing:
-    """Batched activity pricing is bit-identical to unbatched pricing."""
+    """Round pricing through ``_best`` is bit-identical to pricing each
+    candidate on its own with ``ctx.evaluate`` (the reference)."""
 
-    def _price_all(self, flat_sim, sol, candidates, batch, validate=False):
+    def _price_all(
+        self, flat_sim, sol, candidates, validate=False, round_first=True
+    ):
+        """Price *candidates* on a fresh context and read them back.
+
+        ``round_first=False`` is the reference: a plain per-candidate
+        ``ctx.evaluate`` loop with no ``_best`` round before it.
+        """
         from repro.power import reset_activity_caches
 
         reset_activity_caches()
         ctx = EvaluationContext(
-            flat_sim,
-            (),
-            "power",
-            batch_pricing=batch,
-            validate_incremental=validate,
+            flat_sim, (), "power", validate_incremental=validate
         )
         ctx.evaluate(sol)
         base = ctx.breakdown_of(sol)
-        best = _best(ctx, candidates, base=base)
+        best = _best(ctx, candidates, base=base) if round_first else None
         metrics = [
             ctx.evaluate(
                 c.solution, base=base if c.footprint is not None else None
@@ -308,33 +296,51 @@ class TestBatchedPricing:
         ]
         return best, metrics, ctx.telemetry
 
-    def test_batch_off_vs_on_bitwise(self, setup, flat_sim):
+    def test_round_pricing_matches_per_candidate_bitwise(
+        self, setup, flat_sim
+    ):
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
         assert len(candidates) > 2
-        off_best, off_metrics, _ = self._price_all(
-            flat_sim, sol, candidates, batch=False
+        _, ref_metrics, _ = self._price_all(
+            flat_sim, sol, candidates, round_first=False
         )
-        on_best, on_metrics, _ = self._price_all(
-            flat_sim, sol, candidates, batch=True
-        )
-        assert off_best.candidate.description == on_best.candidate.description
-        assert off_best.cost_after == on_best.cost_after
-        for off, on in zip(off_metrics, on_metrics):
-            assert (off.area, off.power, off.energy_per_sample) == (
-                on.area,
-                on.power,
-                on.energy_per_sample,
+        best, metrics, _ = self._price_all(flat_sim, sol, candidates)
+        for ref, got in zip(ref_metrics, metrics):
+            assert (ref.area, ref.power, ref.energy_per_sample) == (
+                got.area,
+                got.power,
+                got.energy_per_sample,
             )
+        ref_best = min(
+            (m.objective_value("power"),) + candidate_order_key(c)
+            for c, m in zip(candidates, ref_metrics)
+            if not math.isinf(m.objective_value("power"))
+        )
+        assert best.cost_after == ref_best[0]
+        assert candidate_order_key(best.candidate) == ref_best[1:]
 
-    def test_batch_keeps_accounting_serial(self, setup, flat_sim):
-        """evaluate_batch stashes speculative results; the serial pass
-        must still report the exact unbatched telemetry."""
+    def test_round_pricing_keeps_accounting_serial(self, setup, flat_sim):
+        """evaluate_batch stashes results ahead of the serial pass; that
+        pass must still report the per-candidate reference telemetry."""
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
-        _, _, tel_off = self._price_all(flat_sim, sol, candidates, batch=False)
-        _, _, tel_on = self._price_all(flat_sim, sol, candidates, batch=True)
-        assert tel_off.as_dict() == tel_on.as_dict()
+        _, _, tel_ref = self._price_all(
+            flat_sim, sol, candidates, round_first=False
+        )
+        _, _, tel = self._price_all(flat_sim, sol, candidates)
+        # The read-back after the round prices every candidate once
+        # more: n extra evaluations, all of them cache hits.
+        got = tel.as_dict()
+        want = tel_ref.as_dict()
+        assert sum(got.pop("moves_tried").values()) == len(candidates)
+        want.pop("moves_tried")
+        n = len(candidates)
+        assert got["evaluations"] == want["evaluations"] + n
+        assert got["cache_hits"] == want["cache_hits"] + n
+        for key in ("cache_misses", "delta_hits", "delta_fallbacks",
+                    "full_evals"):
+            assert got[key] == want[key], key
 
     def test_batch_under_validate_mode(self, setup, flat_sim):
         """The validate_incremental cross-check re-prices every batched
@@ -342,7 +348,7 @@ class TestBatchedPricing:
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
         best, _, _ = self._price_all(
-            flat_sim, sol, candidates, batch=True, validate=True
+            flat_sim, sol, candidates, validate=True
         )
         assert best is not None
 
@@ -354,10 +360,10 @@ class TestBatchedPricing:
 
         env, sol, sim = setup
         candidates = _all_candidates(env, sol, sim)
-        _, warm, _ = self._price_all(flat_sim, sol, candidates, batch=True)
+        _, warm, _ = self._price_all(flat_sim, sol, candidates)
         reset_activity_caches()
         _reset_energy_memos()
-        _, cold, _ = self._price_all(flat_sim, sol, candidates, batch=True)
+        _, cold, _ = self._price_all(flat_sim, sol, candidates)
         for w, c in zip(warm, cold):
             assert (w.area, w.power, w.energy_per_sample) == (
                 c.area,

@@ -194,6 +194,25 @@ class TestPersistentTier:
         store.put("module", "k", ("c",), 1)  # still works in memory
         assert store.get("module", "k") == 1
 
+    def test_leftover_shard_files_read_as_empty_store(self, tmp_path):
+        """Older sharded layouts (``synthesis_store.shardNN.sqlite``) are
+        ignored: the store opens its one file and every lookup misses."""
+        old = SynthesisStore(cache_dir=str(tmp_path / "old"))
+        keys = _corpus_keys(6)
+        for i, (fp, content) in enumerate(keys):
+            old.put("module", fp, content, i)
+        old.close()
+        for index in range(2):
+            (tmp_path / f"synthesis_store.shard{index:02d}.sqlite").write_bytes(
+                (tmp_path / "old" / "synthesis_store.sqlite").read_bytes()
+            )
+        store = SynthesisStore(cache_dir=str(tmp_path))
+        assert store.persistent
+        assert store.persistent_stats()["total_entries"] == 0
+        for fp, content in keys:
+            assert store.fetch("module", fp, content) is MISSING
+        store.close()
+
 
 def _corpus_keys(n: int, base_seed: int = 11) -> list[tuple[str, tuple]]:
     """Content keys drawn from a generated-design corpus.
@@ -285,132 +304,64 @@ from repro.gen import generate_batch
 from repro.synthesis.store import SynthesisStore
 
 cache_dir, base_seed, tag = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+own = int(sys.argv[4])
 store = SynthesisStore(cache_dir=cache_dir)
 # Writers share the same corpus keyspace: every put races with the
-# other process on identical (ns, key) pairs carrying identical bytes.
+# other processes on identical (ns, key) pairs carrying identical bytes.
 for gen in generate_batch(base_seed, 40):
     fp = design_fingerprint(gen.design, gen.design.top)
     store.put("module", fp, ("corpus", fp), {"fp": fp, "seed": gen.seed})
+# Each writer also owns a disjoint slice, so a lost write shows.
+for i in range(own):
+    store.put("module", f"{tag}-{i}", ("own", tag, i), (tag, i))
 store.close()
 print(f"{tag} done")
 """
 
+#: Entries each writer process stores under its own keys.
+_OWN = 20
+
 
 class TestConcurrentWriterProcesses:
-    def test_two_processes_one_sqlite_tier(self, tmp_path):
-        """Two independent writer processes race on one store.
+    @pytest.mark.parametrize("n_procs", [2, 4])
+    def test_processes_share_one_sqlite_tier(self, tmp_path, n_procs):
+        """Independent writer processes race on one store file.
 
-        Content addressing makes the race benign: both write the same
-        bytes for the same keys, so the merged tier must hold exactly
-        one intact entry per key.
+        Content addressing makes the race on shared keys benign: every
+        writer stores the same bytes, so the merged tier must hold
+        exactly one intact entry per key.  The per-writer slices must
+        all survive: no write is lost to lock contention.
         """
         import subprocess
         import sys as _sys
 
+        tags = [f"w{i}" for i in range(n_procs)]
         procs = [
             subprocess.Popen(
                 [_sys.executable, "-c", _WRITER_SCRIPT,
-                 str(tmp_path), "29", tag],
+                 str(tmp_path), "29", tag, str(_OWN)],
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
             )
-            for tag in ("w1", "w2")
+            for tag in tags
         ]
         for proc in procs:
             out, err = proc.communicate(timeout=120)
             assert proc.returncode == 0, err
             assert "done" in out
 
+        assert sorted(p.name for p in tmp_path.glob("*.sqlite")) == [
+            "synthesis_store.sqlite"
+        ]
         store = SynthesisStore(cache_dir=str(tmp_path))
-        assert store.persistent_stats()["total_entries"] == 40
+        stats = store.persistent_stats()
+        assert stats["total_entries"] == 40 + _OWN * n_procs
         for fp, content in _corpus_keys(40, base_seed=29):
             value = store.fetch("module", fp, content)
             assert value == {"fp": fp, "seed": value["seed"]}
+        for tag in tags:
+            for i in range(_OWN):
+                assert store.fetch("module", f"{tag}-{i}", ("own", tag, i)) \
+                    == (tag, i)
         store.close()
-
-class TestSharding:
-    """Persistent-tier sharding: layout, auto-detection, pruning."""
-
-    def test_sharded_layout_on_disk(self, tmp_path):
-        store = SynthesisStore(cache_dir=str(tmp_path), shards=4)
-        assert store.shards == 4
-        names = sorted(p.name for p in tmp_path.glob("*.sqlite"))
-        assert names == [f"synthesis_store.shard{i:02d}.sqlite"
-                         for i in range(4)]
-        store.close()
-
-    def test_round_trip_spreads_across_shards(self, tmp_path):
-        store = SynthesisStore(cache_dir=str(tmp_path), shards=4)
-        keys = _corpus_keys(24)
-        for i, (fp, content) in enumerate(keys):
-            store.put("module", fp, content, i)
-        stats = store.persistent_stats()
-        assert stats["shards"] == 4
-        assert stats["total_entries"] == 24
-        store.close()
-        # High-entropy digests must not all land in one shard file.
-        import sqlite3
-
-        per_shard = []
-        for path in sorted(tmp_path.glob("*.sqlite")):
-            db = sqlite3.connect(path)
-            per_shard.append(
-                db.execute("SELECT COUNT(*) FROM store").fetchone()[0]
-            )
-            db.close()
-        assert sum(per_shard) == 24
-        assert sum(1 for n in per_shard if n > 0) >= 2
-
-    def test_auto_detection_of_sharded_layout(self, tmp_path):
-        writer = SynthesisStore(cache_dir=str(tmp_path), shards=3)
-        keys = _corpus_keys(12)
-        for i, (fp, content) in enumerate(keys):
-            writer.put("module", fp, content, i)
-        writer.close()
-        # shards=None (the default) must find the 3-shard layout.
-        assert SynthesisStore.detect_shards(str(tmp_path)) == 3
-        reader = SynthesisStore(cache_dir=str(tmp_path))
-        assert reader.shards == 3
-        for i, (fp, content) in enumerate(keys):
-            assert reader.fetch("module", fp, content) == i
-        reader.close()
-
-    def test_detect_shards_defaults_to_one(self, tmp_path):
-        assert SynthesisStore.detect_shards(str(tmp_path)) == 1
-        store = SynthesisStore(cache_dir=str(tmp_path))  # legacy layout
-        store.put("module", "k", ("c",), 1)
-        store.close()
-        assert SynthesisStore.detect_shards(str(tmp_path)) == 1
-
-    def test_prune_respects_bound_across_shards(self, tmp_path):
-        store = SynthesisStore(cache_dir=str(tmp_path), shards=4)
-        keys = _corpus_keys(20)
-        for i, (fp, content) in enumerate(keys):
-            store.put("module", fp, content, i)
-        removed = store.prune_persistent(6)
-        kept = store.persistent_stats()["total_entries"]
-        assert removed + kept == 20
-        assert kept <= 6
-        store.close()
-
-    def test_clear_empties_every_shard(self, tmp_path):
-        store = SynthesisStore(cache_dir=str(tmp_path), shards=4)
-        for fp, content in _corpus_keys(10):
-            store.put("module", fp, content, fp)
-        assert store.clear_persistent() == 10
-        assert store.persistent_stats()["total_entries"] == 0
-        store.close()
-
-    def test_shard_count_is_execution_only_for_results(self, tmp_path):
-        """The same (key, content) round-trips across shard counts."""
-        one = SynthesisStore(cache_dir=str(tmp_path / "s1"), shards=1)
-        many = SynthesisStore(cache_dir=str(tmp_path / "s4"), shards=4)
-        for fp, content in _corpus_keys(8):
-            one.put("module", fp, content, {"fp": fp})
-            many.put("module", fp, content, {"fp": fp})
-        for fp, content in _corpus_keys(8):
-            assert one.fetch("module", fp, content) == \
-                many.fetch("module", fp, content)
-        one.close()
-        many.close()
