@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: the paper's fixed scheme; see "
                             "docs/SEARCH.md; choices: "
                             f"{', '.join(available_policies())})")
-    synth.add_argument("--portfolio", type=int, default=None, metavar="N",
-                       help="run N differently-biased search policies as a "
-                            "cross-pollinating portfolio and keep the best "
-                            "result (never worse than the single search; "
-                            "incompatible with --flatten)")
     synth.add_argument("--priors", action="store_true",
                        help="search with trace-mined move priors and, after "
                             "the run, mine this run's trace back into the "
@@ -284,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None, metavar="NAME",
                         help="search policy biasing the improvement driver "
                              "(see docs/SEARCH.md)")
-    submit.add_argument("--portfolio", type=int, default=None, metavar="N",
-                        help="run N differently-biased policies as a "
-                             "cross-pollinating portfolio on the server")
     submit.add_argument("--priors", action="store_true",
                         help="search with the server's trace-mined move "
                              "priors and mine this run back into them")
@@ -356,15 +348,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         design = get_benchmark(args.benchmark)
     else:
         design = _load_design(args.design)
-
-    if args.portfolio is not None:
-        if args.flatten:
-            print("error: --portfolio is incompatible with --flatten",
-                  file=sys.stderr)
-            return 2
-        if args.portfolio < 1:
-            print("error: --portfolio needs N >= 1", file=sys.stderr)
-            return 2
 
     config = quick_config() if args.effort == "quick" else SynthesisConfig()
     config.n_workers = args.workers
@@ -436,34 +419,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-    portfolio = None
-    if args.portfolio is not None:
-        from .search import portfolio_synthesize
-
-        portfolio = portfolio_synthesize(
-            design,
-            library,
-            sampling_ns=args.sampling_ns,
-            laxity_factor=args.laxity,
-            objective=args.objective,
-            traces=traces,
-            config=config,
-            n_samples=args.samples,
-            n_members=args.portfolio,
-        )
-        result = portfolio.result
-    else:
-        run = synthesize_flat if args.flatten else synthesize
-        result = run(
-            design,
-            library,
-            sampling_ns=args.sampling_ns,
-            laxity_factor=args.laxity,
-            objective=args.objective,
-            traces=traces,
-            config=config,
-            n_samples=args.samples,
-        )
+    run = synthesize_flat if args.flatten else synthesize
+    result = run(
+        design,
+        library,
+        sampling_ns=args.sampling_ns,
+        laxity_factor=args.laxity,
+        objective=args.objective,
+        traces=traces,
+        config=config,
+        n_samples=args.samples,
+    )
     if args.voltage_scale:
         result = voltage_scale(result, continuous=True)
     if profiler is not None:
@@ -481,12 +447,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
           f"(budget {result.solution.deadline_cycles})")
     print(f"sampling:       {result.sampling_ns:.1f} ns")
     print(f"synthesis time: {result.elapsed_s:.2f} s")
-    if portfolio is not None and portfolio.winner is not None:
-        winner = portfolio.winner
-        print(f"portfolio:      {args.portfolio} member(s) × "
-              f"{portfolio.generations} generation(s), winner "
-              f"{winner.policy!r} (generation {winner.generation}, "
-              f"member {winner.member}) in {portfolio.elapsed_s:.2f} s")
     if args.verify:
         check = result.verify()
         if not check.ok:
@@ -518,13 +478,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             result.telemetry.add_time("library", library_s)
         print()
         print(render_stats(result.telemetry, history=result.history))
-        if portfolio is not None:
-            print()
-            print("portfolio members:")
-            for m in portfolio.members:
-                print(f"  generation {m.generation} member {m.member} "
-                      f"({m.policy}): cost {m.cost:.4g}, "
-                      f"{m.evaluations} evaluations, {m.elapsed_s:.2f} s")
     if args.trace:
         from .trace import write_trace
 
@@ -699,7 +652,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         verify=args.verify,
         trace=args.trace,
         policy=args.policy,
-        portfolio=args.portfolio,
         priors=args.priors,
     )
     client = ServiceClient(args.url)

@@ -348,8 +348,8 @@ EXECUTION_ONLY_FIELDS = frozenset(
         # search reaches, but every *stored* sub-result is policy-
         # independent: nested move-B resynthesis always runs the
         # default scheme, and schedules/metrics are pure evaluation.
-        # Excluding these lets differently-biased portfolio members
-        # share one cache.
+        # Excluding these lets runs under different policies (and the
+        # priors policy with its mined table) share one cache.
         "search_policy",
         "policy_params",
     }

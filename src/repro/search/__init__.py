@@ -1,4 +1,4 @@
-"""Pluggable search policies, trace-mined priors and portfolio search.
+"""Pluggable search policies and trace-mined priors.
 
 The variable-depth improvement driver (:mod:`repro.synthesis.improve`)
 delegates every discretionary decision — which candidate families to
@@ -16,13 +16,9 @@ Layout
 :mod:`repro.search.priors`     — mine completed traces into per-move-kind
                                  × slack-regime gain statistics, persisted
                                  in the store's ``priors`` namespace under
-                                 iso-invariant design fingerprints;
-:mod:`repro.search.portfolio`  — run N differently-biased policies in
-                                 parallel, cross-pollinating best-so-far
-                                 solutions through the shared store.
+                                 iso-invariant design fingerprints.
 
-See ``docs/SEARCH.md`` for the lifecycle:
-trace → priors → policy → portfolio.
+See ``docs/SEARCH.md`` for the lifecycle: trace → priors → policy.
 """
 
 from .policy import (
@@ -35,35 +31,11 @@ from .policy import (
 from .priors import PriorsTable, mine_events
 
 __all__ = [
-    "DEFAULT_ROSTER",
     "DefaultPolicy",
-    "PortfolioResult",
     "PriorsTable",
     "SearchPolicy",
     "available_policies",
     "make_policy",
     "mine_events",
-    "portfolio_synthesize",
     "register_policy",
 ]
-
-#: The portfolio driver builds on ``repro.synthesis.api``, which imports
-#: this package while initializing (the env resolves its policy here) —
-#: so it is exported lazily (PEP 562) to keep the load order acyclic.
-_LAZY = {
-    "DEFAULT_ROSTER": "portfolio",
-    "portfolio_synthesize": "portfolio",
-    "PortfolioResult": "portfolio",
-}
-
-
-def __getattr__(name: str):
-    """Resolve the lazily exported portfolio API on first access."""
-    if name in _LAZY:
-        from importlib import import_module
-
-        module = import_module(f".{_LAZY[name]}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,8 +9,7 @@ improve_solution`):
   (order also breaks exact cost ties: the earlier family wins);
 * **within-step ranking** — reordering or truncating a family's
   candidate list before pricing;
-* **restart scheduling** — seeding a pass sequence from a previously
-  published solution (cross-pollination in a portfolio run);
+* **restart scheduling** — replacing a point's starting solution;
 * **early termination** — cutting a step, a pass sequence, or the
   whole point short.
 
@@ -18,8 +17,7 @@ improve_solution`):
 makes the driver reproduce the paper's fixed scheme **byte-identically**
 (same traces, same telemetry) — the refactor seam is covered by golden
 trace tests.  The biased policies below trade that fidelity for
-different exploration profiles; the portfolio driver
-(:mod:`repro.search.portfolio`) runs several of them side by side.
+different exploration profiles.
 
 Policies are resolved by name through :func:`make_policy` (the
 ``SynthesisConfig.search_policy`` knob); third parties register their
@@ -30,7 +28,6 @@ this one while initializing.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,13 +92,6 @@ class SearchPolicy:
     no-ops — a driver running them is byte-identical to the
     pre-policy monolith — so subclasses override only the decisions
     they want to bias.
-
-    Cross-pollination is built into the base class: when ``params``
-    carries a ``pollinate`` token (set by the portfolio driver), every
-    policy seeds each point from the best solution any portfolio member
-    has published for that operating point (:meth:`seed_solution`), and
-    publishes its own final solution back (:meth:`publish`), both
-    through the shared store's ``portfolio`` namespace.
     """
 
     #: Registry name (set by :func:`register_policy`).
@@ -140,63 +130,10 @@ class SearchPolicy:
     ) -> tuple["Solution", float]:
         """Optionally replace the point's starting solution.
 
-        The default adopts a cross-pollinated incumbent when a
-        ``pollinate`` token is configured and the incumbent prices
-        strictly better; otherwise the input passes through untouched
-        (no evaluations).
+        Called once per point before the first pass.  The default passes
+        the input through untouched (no evaluations).
         """
-        token = self.params.get("pollinate")
-        if not token or self.env is None:
-            return solution, cost
-        incumbent = self._load_incumbent(token, solution)
-        if incumbent is None:
-            return solution, cost
-        adopted_cost = ctx.cost(incumbent)
-        if adopted_cost < cost:
-            return incumbent, adopted_cost
         return solution, cost
-
-    def publish(self, solution: "Solution", cost: float) -> None:
-        """Offer the point's final solution to the rest of the portfolio."""
-        token = self.params.get("pollinate")
-        if not token or self.env is None or not math.isfinite(cost):
-            return
-        from ..synthesis.store import MISSING
-
-        content = self._pollination_key(token, solution)
-        held = self.env.store.load("portfolio", content)
-        if held is MISSING or cost < held[0]:
-            self.env.store.replace("portfolio", content, (cost, solution))
-
-    def _pollination_key(self, token: str, solution: "Solution") -> tuple:
-        """Content key of one operating point's shared incumbent slot."""
-        return (
-            "portfolio", str(token), solution.vdd, solution.clk_ns,
-            solution.sampling_ns,
-        )
-
-    def _load_incumbent(
-        self, token: str, solution: "Solution"
-    ) -> "Solution | None":
-        """Best published solution for *solution*'s operating point."""
-        from ..dfg.canonical import design_fingerprint
-        from ..synthesis.store import MISSING
-
-        held = self.env.store.load(
-            "portfolio", self._pollination_key(token, solution)
-        )
-        if held is MISSING:
-            return None
-        _cost, incumbent = held
-        # A published solution may arrive from another process (its DFG
-        # is an unpickled copy): adopt only when it is structurally the
-        # same graph this env is synthesizing.
-        design = self.env.design
-        if design_fingerprint(design, incumbent.dfg) != design_fingerprint(
-            design, solution.dfg
-        ):
-            return None
-        return incumbent
 
     # -- within-step decisions ----------------------------------------
     def rank_candidates(

@@ -305,8 +305,7 @@ class PriorsPolicy(SearchPolicy):
       touching unexplored kinds.
 
     ``params``: ``table`` (a :meth:`PriorsTable.as_dict` payload,
-    overrides the store), ``min_support`` (default 5), plus the base
-    class's ``pollinate`` token.
+    overrides the store) and ``min_support`` (default 5).
     """
 
     def __init__(self, params: dict[str, Any] | None = None):

@@ -163,16 +163,15 @@ def synthesize(
     traces: TraceSet | None = None,
     config: SynthesisConfig | None = None,
     n_samples: int = 48,
-    store: "Any | None" = None,
 ) -> SynthesisResult:
     """Synthesize a hierarchical design under a throughput constraint.
 
     Exactly one of ``sampling_ns`` (absolute period) or ``laxity_factor``
     (multiple of the minimum achievable period, as in Table 3) must be
-    given.  *store* optionally supplies an externally owned
-    :class:`~repro.synthesis.store.SynthesisStore` shared across several
-    runs (the portfolio driver pollinates members through one); the
-    caller keeps responsibility for closing it.
+    given.  Each run opens its own
+    :class:`~repro.synthesis.store.SynthesisStore` from *config*
+    (in-memory, plus the persistent tier under ``config.cache_dir``) and
+    closes it before returning.
     """
     return _synthesize(
         design,
@@ -184,7 +183,6 @@ def synthesize(
         config=config,
         n_samples=n_samples,
         flatten_input=False,
-        store=store,
     )
 
 
@@ -374,7 +372,6 @@ def _synthesize(
     config: SynthesisConfig | None,
     n_samples: int,
     flatten_input: bool,
-    store: "Any | None" = None,
 ) -> SynthesisResult:
     started = time.perf_counter()
     library = library or default_library()
@@ -392,7 +389,7 @@ def _synthesize(
     top = design.top
     traces = _prepare_traces(design, traces, n_samples)
     input_streams = [traces[name] for name in top.inputs]
-    env = SynthesisEnv(design, library, objective, config, store=store)
+    env = SynthesisEnv(design, library, objective, config)
     try:
         return _synthesize_in_env(
             env, design, top, traces, input_streams, sampling_ns, objective,
@@ -404,13 +401,10 @@ def _synthesize(
         # server worker, REPL) that survives a SynthesisError must not
         # retain them, nor keep the run's persistent-store connections
         # open.  Post-processing (voltage scaling, corner sweeps) simply
-        # repopulates the memos from the result's own sim.  An
-        # externally supplied store outlives the run by contract — its
-        # owner (the portfolio driver) closes it after the last member.
+        # repopulates the memos from the result's own sim.
         reset_activity_caches()
         _reset_energy_memos()
-        if store is None:
-            env.store.close()
+        env.store.close()
 
 
 def _synthesize_in_env(

@@ -126,11 +126,10 @@ class SynthesisConfig:
     #: decisions (family order, candidate ranking, restarts, early
     #: termination).  ``"default"`` reproduces the paper's fixed scheme
     #: byte-identically; see :mod:`repro.search.policy` for the biased
-    #: alternatives (``repro synth --policy``, ``--portfolio``).
+    #: alternatives (``repro synth --policy``).
     search_policy: str = "default"
     #: Keyword parameters of the selected policy (e.g. a mined priors
-    #: table, the portfolio cross-pollination token).  Plain JSON-able
-    #: values only.
+    #: table).  Plain JSON-able values only.
     policy_params: dict | None = None
 
 
@@ -143,7 +142,6 @@ class SynthesisEnv:
         library: ModuleLibrary,
         objective: Objective,
         config: SynthesisConfig | None = None,
-        store: SynthesisStore | None = None,
     ):
         self.design = design
         self.library = library
@@ -164,9 +162,7 @@ class SynthesisEnv:
         #: The tiered synthesis store (point / run / persistent); every
         #: memoized module, resynthesis result and schedule routes
         #: through it.  See :mod:`repro.synthesis.store`.
-        self.store = store if store is not None else SynthesisStore.from_config(
-            self.config
-        )
+        self.store = SynthesisStore.from_config(self.config)
         self.store.bind(self.telemetry)
         #: Invalidation signature shared by every content key this env
         #: writes: schema version + library + search-shaping config.

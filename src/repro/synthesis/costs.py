@@ -152,18 +152,19 @@ class EvaluationContext:
         #: the cost cache; the improvement loop fetches the current
         #: solution's breakdown to delta-price its candidates against.
         self._breakdowns: LRUCache[HashedKey, Breakdown] = LRUCache(cache_size)
-        #: Results priced ahead of the serial accounting pass
-        #: (:meth:`prime`), consumed by :meth:`evaluate`.
+        #: Results looked up or priced ahead of the serial accounting pass
+        #: (:meth:`evaluate_batch`), consumed by :meth:`evaluate`: a bare
+        #: :class:`Metrics` was served by the store, a tuple was priced
+        #: by :meth:`prime`.
         self._primed: dict[
-            HashedKey, tuple[Metrics, Breakdown, int, int]
+            HashedKey, Metrics | tuple[Metrics, Breakdown, int, int]
         ] = {}
         #: Canonical metrics content keys, memoized per fingerprint.
-        #: One candidate's content is needed up to three times (the
-        #: ``contains`` filter of :meth:`evaluate_batch`, then ``fetch``
-        #: and ``put`` in the serial pass); building the pricing
-        #: signature each time was measurable, and returning the *same*
-        #: tuple object lets the store's digest memo answer repeat
-        #: hashings for free.
+        #: One candidate's content is needed twice (the store ``fetch``
+        #: of :meth:`evaluate_batch` or :meth:`evaluate`, then ``put``
+        #: after pricing); building the pricing signature each time was
+        #: measurable, and returning the *same* tuple object lets the
+        #: store's digest memo answer repeat hashings for free.
         self._content_memo: LRUCache[HashedKey, tuple] = LRUCache(cache_size)
         #: Tiered synthesis store carrying the shared schedule memo
         #: (namespace ``"schedule"``); ``None`` for bare contexts
@@ -303,21 +304,16 @@ class EvaluationContext:
         self.telemetry.cache_misses += 1
         t0 = self.recorder.clock() if self.recorder is not None else None
         primed = self._primed.pop(key, None)
-        content = (
-            self._metrics_content(solution, key)
-            if self._share_metrics
-            else None
-        )
-        if primed is None and content is not None:
-            shared = self.store.fetch("metrics", key, content)
-            if shared is not MISSING:
-                # Untraced context (see ``_share_metrics``): skipping
-                # the full/delta classification below cannot reach any
-                # recorded trace.  The metrics themselves are
-                # bit-identical to a recomputation, so results and the
-                # search trajectory are unchanged.
-                self._cost_cache.put(key, shared)
-                return shared
+        if primed is None and self._share_metrics:
+            primed = self._fetch_shared(solution, key)
+        if isinstance(primed, Metrics):
+            # Served by the store.  Untraced context (see
+            # ``_share_metrics``): skipping the full/delta classification
+            # below cannot reach any recorded trace.  The metrics
+            # themselves are bit-identical to a recomputation, so results
+            # and the search trajectory are unchanged.
+            self._cost_cache.put(key, primed)
+            return primed
         if primed is not None:
             metrics, breakdown, reused, _terms = primed
         else:
@@ -339,9 +335,20 @@ class EvaluationContext:
             self.recorder.emit("eval", **event)
         self._cost_cache.put(key, metrics)
         self._breakdowns.put(key, breakdown)
-        if content is not None:
-            self.store.put("metrics", key, content, metrics)
+        if self._share_metrics:
+            self.store.put(
+                "metrics", key, self._metrics_content(solution, key), metrics
+            )
         return metrics
+
+    def _fetch_shared(
+        self, solution: Solution, key: HashedKey
+    ) -> Metrics | None:
+        """Counted store lookup of *solution*'s metrics (``None`` on a miss)."""
+        shared = self.store.fetch(
+            "metrics", key, self._metrics_content(solution, key)
+        )
+        return None if shared is MISSING else shared
 
     def _metrics_content(
         self, solution: Solution, key: HashedKey | None = None
@@ -397,13 +404,18 @@ class EvaluationContext:
         """Price one round's candidate set ahead of the serial pass.
 
         ``work`` pairs each candidate solution with the base breakdown
-        it would be priced against.  Solutions already in the cost cache,
-        already primed, or served by the store are skipped, duplicates
-        are priced once, and the rest go to :meth:`prime`.  All
+        it would be priced against.  Solutions already in the cost cache
+        or already primed are skipped and duplicates are priced once.
+        When metrics are shared, the counted store lookup :meth:`evaluate`
+        would make happens here instead: a hit is stashed for the serial
+        pass, and only the misses go to :meth:`prime`.  All other
         accounting — telemetry, cache recency and eviction, trace events
         — still happens in the caller's serial :meth:`evaluate` pass, so
         counters, traces and metrics are identical to pricing each
-        candidate on its own.
+        candidate on its own.  (The one exception would be two
+        candidates of one round with different fingerprints but equal
+        store content: priced alone, the second would hit the first's
+        stored result.  The bench-suite designs show no such pair.)
         """
         jobs: list[tuple[HashedKey, Solution, Breakdown | None]] = []
         seen: set[HashedKey] = set()
@@ -415,13 +427,12 @@ class EvaluationContext:
                 or self._cost_cache.peek(key) is not None
             ):
                 continue
-            if self._share_metrics and self.store.contains(
-                "metrics", self._metrics_content(solution, key)
-            ):
-                # The serial accounting pass will answer this candidate
-                # from the store; planning it here would waste the work.
-                continue
             seen.add(key)
+            if self._share_metrics:
+                shared = self._fetch_shared(solution, key)
+                if shared is not None:
+                    self._primed[key] = shared
+                    continue
             jobs.append((key, solution, base))
         if jobs:
             self.prime(jobs)

@@ -304,7 +304,6 @@ def improve_solution(
         if committed == 0:
             break
 
-    policy.publish(current, current_cost)
     return current
 
 

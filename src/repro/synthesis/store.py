@@ -32,14 +32,12 @@ and persistent tiers.  :data:`MISSING` distinguishes "absent" from a
 stored ``None`` (the resynthesis memo stores ``None`` for infeasible
 budgets).
 
-Two namespaces hold **mutable aggregates** rather than immutable
+One namespace holds a **mutable aggregate** rather than immutable
 results: ``priors`` (trace-mined move statistics, see
-:mod:`repro.search.priors`) and ``portfolio`` (cross-pollinated
-best-so-far solutions, see :mod:`repro.search.portfolio`).  They use
-the content-only :meth:`load`/:meth:`replace` pair — replace-semantics
-writes, no point tier — and are only ever read by the search policies
-that opt into them, so populating them cannot perturb a default run's
-lookup sequence.
+:mod:`repro.search.priors`).  It uses the content-only
+:meth:`load`/:meth:`replace` pair — replace-semantics writes, no point
+tier — and is only ever read by the priors policy, so populating it
+cannot perturb a default run's lookup sequence.
 
 Per-tier hit/miss/eviction counters are written into the bound
 :class:`~repro.telemetry.Telemetry` (``store_hits``/``store_misses``/
@@ -280,10 +278,9 @@ class SynthesisStore:
         #: the job server uses its store from more than one thread.
         self._lock = threading.Lock()
         #: id(content) → (content, digest).  One content tuple flows
-        #: through up to three digesting calls per candidate
-        #: (``contains`` while a round is batched, then ``fetch``
-        #: and ``put`` in the serial pass); re-hashing the multi-KB repr
-        #: each time was a measurable fraction of pricing.  The content
+        #: through two digesting calls per candidate (``fetch``, then
+        #: ``put`` after pricing); re-hashing the multi-KB repr each
+        #: time was a measurable fraction of pricing.  The content
         #: tuple is kept in the value so its id cannot be recycled while
         #: the entry lives; the identity check on lookup makes a stale
         #: entry merely a recompute, never a wrong digest.
@@ -419,10 +416,9 @@ class SynthesisStore:
     def contains(self, ns: str, content: tuple) -> bool:
         """Whether the run or persistent tier holds *content*.
 
-        A pure probe — no counters, no point-tier install: batched
-        pricing (:meth:`~repro.synthesis.costs.EvaluationContext.
-        evaluate_batch`) uses it to skip candidates the serial
-        accounting pass will answer from the store anyway.
+        A pure probe — no counters, no point-tier install.  The engine
+        itself probes through the counted :meth:`fetch`; this method
+        stays public because ``perfbench/tracer.py`` binds it by name.
         """
         blob_key = (ns, self._digest(content))
         with self._lock:
@@ -452,7 +448,7 @@ class SynthesisStore:
         """Content-only probe of the run and persistent tiers.
 
         For namespaces addressed purely by content (no per-point live
-        key): ``priors`` tables and ``portfolio`` incumbents.  Returns a
+        key): ``priors`` tables.  Returns a
         fresh unpickled copy, or :data:`MISSING` — without installing
         anything into a point tier, so these reads can never perturb the
         point-keyed namespaces' hit sequences.
@@ -476,8 +472,8 @@ class SynthesisStore:
 
         The mutable-aggregate counterpart of :meth:`put`: most
         namespaces hold immutable content-addressed results (``INSERT
-        OR IGNORE``), but priors tables and portfolio incumbents are
-        *updated in place* under a stable address, so this path writes
+        OR IGNORE``), but priors tables are *updated in place* under a
+        stable address, so this path writes
         ``INSERT OR REPLACE`` and overwrites the run-tier blob.
         Last-writer-wins under concurrency — acceptable for advisory
         aggregates, never used for priced results.

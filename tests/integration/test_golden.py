@@ -6,6 +6,11 @@ seed and reduced-effort configuration, for both objectives.  The runs
 are deterministic, so any drift means a synthesis change moved the
 costs — caught here at PR time instead of in the benchmark sweeps.
 
+Each case also runs with the two pure-execution knobs off
+(``incremental=False``, ``prune=False``; ``--no-incremental``/
+``--no-prune``) and must match the same golden: delta pricing and
+candidate pruning change only how fast the numbers are reached.
+
 When a change *intentionally* moves the numbers, regenerate with::
 
     PYTHONPATH=src python -m pytest tests/integration/test_golden.py \
@@ -14,6 +19,7 @@ When a change *intentionally* moves the numbers, regenerate with::
 and commit the refreshed JSON files under ``tests/integration/goldens/``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -51,7 +57,15 @@ CASES = {
 }
 
 
-def _snapshot(name: str) -> dict:
+#: Config overrides per mode; goldens are written from ``"default"``.
+MODES = {
+    "default": {},
+    "knobs-off": {"incremental": False, "prune": False},
+}
+
+
+def _snapshot(name: str, mode: str) -> dict:
+    config = dataclasses.replace(quick_config(), **MODES[mode])
     snapshot: dict = {}
     for objective in ("area", "power"):
         design = CASES[name]()
@@ -61,7 +75,7 @@ def _snapshot(name: str) -> dict:
             laxity_factor=LAXITY,
             objective=objective,
             traces=traces,
-            config=quick_config(),
+            config=config,
         )
         snapshot[objective] = {
             "area": result.area,
@@ -72,9 +86,12 @@ def _snapshot(name: str) -> dict:
     return snapshot
 
 
+@pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_costs(name, update_goldens):
-    observed = _snapshot(name)
+def test_golden_costs(name, mode, update_goldens):
+    if update_goldens and mode != "default":
+        pytest.skip("goldens are written from the default mode")
+    observed = _snapshot(name, mode)
     path = GOLDEN_DIR / f"{name}.json"
     if update_goldens:
         path.parent.mkdir(exist_ok=True)

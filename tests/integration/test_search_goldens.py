@@ -17,6 +17,10 @@ cost-model fix), regenerate with::
 
 and commit the refreshed JSONL files under
 ``tests/integration/goldens/traces/``.
+
+:class:`TestPolicyRuns` covers the other side of the seam: biased
+policies must still reach feasible results, and only a non-default
+policy is named in the trace's ``run_start`` event.
 """
 
 from __future__ import annotations
@@ -118,3 +122,34 @@ def test_default_policy_trace_matches_pre_refactor_golden(name, update_goldens):
         f"default-policy trace for {name} diverged from the pre-refactor "
         f"golden {path.name}"
     )
+
+
+class TestPolicyRuns:
+    """Non-default policies run end to end and are named in the trace."""
+
+    SAMPLING_NS = 400.0
+    N_SAMPLES = 8
+
+    def _run(self, **overrides):
+        return synthesize(
+            get_benchmark("paulin"),
+            sampling_ns=self.SAMPLING_NS,
+            objective="power",
+            config=dataclasses.replace(_trace_config(), **overrides),
+            n_samples=self.N_SAMPLES,
+        )
+
+    @pytest.mark.parametrize("policy", ["share-first", "greedy", "priors"])
+    def test_biased_policies_produce_feasible_results(self, policy):
+        result = self._run(search_policy=policy)
+        assert result.metrics.objective_value(result.objective) > 0
+        assert result.solution.schedule().length \
+            <= result.solution.deadline_cycles
+
+    def test_run_start_carries_nondefault_policy_name(self):
+        run_start = self._run(search_policy="greedy").trace_events[0]
+        assert run_start["k"] == "run_start"
+        assert run_start["policy"] == "greedy"
+
+    def test_default_policy_trace_has_no_policy_field(self):
+        assert "policy" not in self._run().trace_events[0]

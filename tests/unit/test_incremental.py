@@ -272,18 +272,23 @@ class TestBatchedPricing:
     candidate on its own with ``ctx.evaluate`` (the reference)."""
 
     def _price_all(
-        self, flat_sim, sol, candidates, validate=False, round_first=True
+        self, flat_sim, sol, candidates, validate=False, round_first=True,
+        store=None, design=None,
     ):
         """Price *candidates* on a fresh context and read them back.
 
         ``round_first=False`` is the reference: a plain per-candidate
-        ``ctx.evaluate`` loop with no ``_best`` round before it.
+        ``ctx.evaluate`` loop with no ``_best`` round before it.  A
+        *store* (with the *design* its content keys resolve against)
+        shares metrics through it.
         """
         from repro.power import reset_activity_caches
 
         reset_activity_caches()
         ctx = EvaluationContext(
-            flat_sim, (), "power", validate_incremental=validate
+            flat_sim, (), "power", validate_incremental=validate,
+            store=store, design=design, store_prefix="test",
+            share_metrics=store is not None,
         )
         ctx.evaluate(sol)
         base = ctx.breakdown_of(sol)
@@ -341,6 +346,41 @@ class TestBatchedPricing:
         for key in ("cache_misses", "delta_hits", "delta_fallbacks",
                     "full_evals"):
             assert got[key] == want[key], key
+
+    def test_round_pricing_counts_store_lookups_serially(
+        self, setup, flat_sim, flat_design, tmp_path
+    ):
+        """With a persistent tier, every candidate the round prices or
+        serves counts the store hits and misses its own ``ctx.evaluate``
+        would: first on a cold store, then on the warmed one."""
+        from repro.synthesis.store import SynthesisStore
+
+        env, sol, sim = setup
+        candidates = _all_candidates(env, sol, sim)
+        counters = {}
+        for round_first in (False, True):
+            cache_dir = tmp_path / f"round_first_{round_first}"
+            runs = []
+            for _run in ("cold", "warm"):
+                # Memoized schedules would skip the schedule lookups of
+                # whichever side prices second.
+                for solution in [sol] + [c.solution for c in candidates]:
+                    solution.invalidate()
+                store = SynthesisStore(cache_dir=str(cache_dir))
+                assert store.persistent
+                try:
+                    self._price_all(
+                        flat_sim, sol, candidates, round_first=round_first,
+                        store=store, design=flat_design,
+                    )
+                    runs.append(store.counters())
+                finally:
+                    store.close()
+            counters[round_first] = runs
+        cold, warm = counters[False]
+        assert cold["misses"]["persistent.metrics"] > len(candidates) // 2
+        assert warm["hits"]["persistent.metrics"] > len(candidates) // 2
+        assert counters[True] == counters[False]
 
     def test_batch_under_validate_mode(self, setup, flat_sim):
         """The validate_incremental cross-check re-prices every batched

@@ -49,7 +49,7 @@ class TestJobRequestValidation:
     @pytest.mark.parametrize(
         "field,value",
         [("objective", "speed"), ("traces", "pink"), ("effort", "extreme"),
-         ("samples", 0), ("policy", "no-such-policy"), ("portfolio", 0)],
+         ("samples", 0), ("policy", "no-such-policy")],
     )
     def test_rejects_bad_knobs(self, field, value):
         with pytest.raises(ServiceError):
@@ -61,20 +61,20 @@ class TestJobRequestValidation:
         for policy in available_policies():
             _request(policy=policy).validate()
 
-    def test_portfolio_incompatible_with_flatten(self):
-        _request(portfolio=3).validate()
-        with pytest.raises(ServiceError, match="flatten"):
-            _request(portfolio=3, flatten=True).validate()
-
 
 class TestJobRequestWireFormat:
     def test_round_trip(self):
         request = _request(verify=True, samples=16)
         assert JobRequest.from_dict(request.to_dict()) == request
 
-    def test_unknown_keys_rejected_not_dropped(self):
+    @pytest.mark.parametrize(
+        "key,value",
+        [("laxity", 2.0),  # typo for laxity_factor
+         ("portfolio", 3)],  # a removed field
+    )
+    def test_unknown_keys_rejected_not_dropped(self, key, value):
         payload = _request().to_dict()
-        payload["laxity"] = 2.0  # typo for laxity_factor
+        payload[key] = value
         with pytest.raises(ServiceError, match="unknown job request field"):
             JobRequest.from_dict(payload)
 
@@ -129,7 +129,7 @@ class TestRequestFingerprint:
          dict(traces="white"), dict(verify=True), dict(trace=True),
          dict(flatten=True), dict(laxity_factor=3.0),
          dict(laxity_factor=None, sampling_ns=500.0),
-         dict(policy="greedy"), dict(portfolio=3), dict(priors=True)],
+         dict(policy="greedy"), dict(priors=True)],
     )
     def test_result_shaping_knobs_change_identity(self, override):
         assert self._fingerprint(_request(**override)) != \

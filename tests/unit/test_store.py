@@ -127,9 +127,14 @@ class TestPersistentTier:
         first.close()
 
         second = SynthesisStore(cache_dir=str(tmp_path))
+        # The uncounted probe sees the persistent entry; the counters
+        # below record only the fetch.
+        assert second.contains("schedule", ("c",))
+        assert not second.contains("schedule", ("other",))
         assert second.fetch("schedule", "fresh-key", ("c",)) == (1, 2, 3)
         counters = second.counters()
         assert counters["hits"]["persistent.schedule"] == 1
+        assert "persistent.schedule" not in counters["misses"]
         second.close()
 
     def test_no_cache_dir_means_no_persistence(self):
