@@ -6,10 +6,11 @@ seed and reduced-effort configuration, for both objectives.  The runs
 are deterministic, so any drift means a synthesis change moved the
 costs — caught here at PR time instead of in the benchmark sweeps.
 
-Each case also runs with the two pure-execution knobs off
-(``incremental=False``, ``prune=False``; ``--no-incremental``/
-``--no-prune``) and must match the same golden: delta pricing and
-candidate pruning change only how fast the numbers are reached.
+Each case also runs with each of the two pure-execution knobs off
+(``incremental=False`` / ``--no-incremental``, ``prune=False`` /
+``--no-prune``) and with both off, and must match the same golden:
+delta pricing and candidate pruning change only how fast the numbers
+are reached, alone or together.
 
 When a change *intentionally* moves the numbers, regenerate with::
 
@@ -60,6 +61,8 @@ CASES = {
 #: Config overrides per mode; goldens are written from ``"default"``.
 MODES = {
     "default": {},
+    "no-incremental": {"incremental": False},
+    "no-prune": {"prune": False},
     "knobs-off": {"incremental": False, "prune": False},
 }
 

@@ -95,6 +95,65 @@ class TestRunTier:
         assert store.export_fresh() == []
 
 
+class TestContentOnlyTier:
+    """``load``/``replace``: the content-addressed path priors tables use."""
+
+    def test_load_miss_returns_missing_and_counts(self):
+        store = SynthesisStore()
+        assert store.load("priors", ("fp",)) is MISSING
+        counters = store.counters()
+        assert counters["misses"] == {"run.priors": 1}
+        assert counters["hits"] == {}
+
+    def test_replace_overwrites_previous_value(self):
+        store = SynthesisStore()
+        store.replace("priors", ("fp",), {"n": 1})
+        store.replace("priors", ("fp",), {"n": 2})
+        assert store.load("priors", ("fp",)) == {"n": 2}
+        assert store.counters()["hits"] == {"run.priors": 1}
+
+    def test_load_returns_fresh_copies(self):
+        store = SynthesisStore()
+        store.replace("priors", ("fp",), {"moves": [1]})
+        first = store.load("priors", ("fp",))
+        first["moves"].append(2)
+        assert store.load("priors", ("fp",)) == {"moves": [1]}
+
+    def test_load_installs_nothing_in_point_tiers(self):
+        store = SynthesisStore()
+        store.replace("priors", ("fp",), "table")
+        assert store.load("priors", ("fp",)) == "table"
+        assert len(store.point_tier("priors")) == 0
+
+    def test_replace_overwrites_persistent_row(self, tmp_path):
+        for value in ("old", "new"):
+            writer = SynthesisStore(cache_dir=str(tmp_path))
+            writer.replace("priors", ("fp",), value)
+            writer.close()
+
+        reader = SynthesisStore(cache_dir=str(tmp_path))
+        assert reader.load("priors", ("fp",)) == "new"
+        counters = reader.counters()
+        assert counters["hits"] == {"persistent.priors": 1}
+        assert counters["misses"] == {"run.priors": 1}
+        # The persistent hit was installed in the run tier.
+        assert reader.load("priors", ("fp",)) == "new"
+        assert reader.counters()["hits"]["run.priors"] == 1
+        reader.close()
+
+    def test_replace_is_exported_to_the_parent(self):
+        worker = SynthesisStore()
+        worker.replace("priors", ("fp",), {"n": 3})
+        entries = worker.export_fresh()
+        assert [(ns, digest) for ns, digest, _blob in entries] == [
+            ("priors", digest_content(("fp",)))
+        ]
+
+        parent = SynthesisStore()
+        parent.absorb(entries)
+        assert parent.load("priors", ("fp",)) == {"n": 3}
+
+
 class TestCounters:
     def test_tick_pattern(self):
         store = SynthesisStore()
